@@ -14,6 +14,18 @@
 //!   completion counter; the wrapping distance between the freshest counters
 //!   of consecutive scans counts completions even when the ring wrapped
 //!   multiple times between polls (slot diffing alone would alias).
+//!
+//! Scans are zero-copy and decode on change. The monitor keeps a *shadow*:
+//! the last non-torn bytes it read from every slot (all `0xFF`, the empty
+//! pattern, until the HCA first writes one). A scan borrows the ring one
+//! page at a time through [`ForeignMapping::read_pieces`]; a page equal to
+//! its shadow is skipped with one comparison, and inside a page that
+//! differs only slots whose bytes differ are decoded. The shadow invariant
+//! — a shadow slot always decodes to the signature the slot last had, and
+//! the empty pattern to none — is what makes skipping equal bytes exact:
+//! equal bytes decode to an equal signature, so the slot did not change.
+//! Torn slots never reach the shadow, so persistent garbage reads as torn
+//! on every scan.
 
 use resex_fabric::{Cqe, CQE_SIZE};
 use resex_simcore::time::SimTime;
@@ -37,8 +49,8 @@ pub struct ScanSample {
     pub aliased: bool,
     /// Slots whose bytes failed to decode as a CQE without being in the
     /// uninitialized pattern — a torn read racing the HCA's DMA write. The
-    /// slot is skipped (its cached signature is kept) so the next scan
-    /// observes the settled value.
+    /// slot is skipped (its shadow is kept) so the next scan observes the
+    /// settled value.
     #[serde(default)]
     pub torn: u32,
 }
@@ -46,14 +58,19 @@ pub struct ScanSample {
 /// Signature of a ring slot, for change detection.
 type SlotSig = (u64, u16, u8);
 
+fn signature((cqe, owner): (Cqe, u8)) -> SlotSig {
+    (cqe.wr_id, cqe.wqe_counter, owner)
+}
+
 /// Monitors one completion queue through a foreign mapping.
 pub struct CqMonitor {
     mapping: ForeignMapping,
     capacity: u32,
     mtu: u32,
-    sigs: Vec<Option<SlotSig>>,
+    /// The last non-torn bytes of every slot; allocated by the first
+    /// (priming) scan.
+    shadow: Vec<[u8; CQE_SIZE]>,
     latest_counter: Option<u16>,
-    primed: bool,
     lifetime_completions: u64,
     lifetime_bytes: u64,
 }
@@ -66,6 +83,54 @@ fn wrapping_ahead(from: u16, to: u16) -> u16 {
         d
     } else {
         0
+    }
+}
+
+/// What one scan has seen so far.
+struct Tally {
+    mtu: u32,
+    tear_slot: Option<usize>,
+    changed: u32,
+    changed_bytes: u64,
+    changed_mtus: u64,
+    torn: u32,
+    freshest: Option<u16>,
+}
+
+impl Tally {
+    /// Classifies slot `index` from its current bytes, folding a change
+    /// into the tally and the bytes into the slot's `shadow`.
+    fn slot(&mut self, index: usize, raw: &[u8; CQE_SIZE], shadow: &mut [u8; CQE_SIZE]) {
+        if self.tear_slot == Some(index) {
+            self.torn += 1;
+            return;
+        }
+        if raw == shadow {
+            return;
+        }
+        let decoded = match Cqe::try_decode(raw) {
+            Ok(pair) => Some(pair),
+            // The uninitialized fill pattern is not torn — just empty.
+            Err(_) if raw.iter().all(|&b| b == 0xFF) => None,
+            Err(_) => {
+                self.torn += 1;
+                return;
+            }
+        };
+        let old = Cqe::try_decode(shadow).ok().map(signature);
+        *shadow = *raw;
+        if decoded.map(signature) == old {
+            return;
+        }
+        if let Some((cqe, _)) = decoded {
+            self.changed += 1;
+            self.changed_bytes += cqe.byte_len as u64;
+            self.changed_mtus += cqe.byte_len.div_ceil(self.mtu).max(1) as u64;
+            self.freshest = Some(match self.freshest {
+                Some(f) if wrapping_ahead(f, cqe.wqe_counter) == 0 => f,
+                _ => cqe.wqe_counter,
+            });
+        }
     }
 }
 
@@ -88,9 +153,8 @@ impl CqMonitor {
             mapping,
             capacity,
             mtu,
-            sigs: vec![None; capacity as usize],
+            shadow: Vec::new(),
             latest_counter: None,
-            primed: false,
             lifetime_completions: 0,
             lifetime_bytes: 0,
         })
@@ -113,67 +177,77 @@ impl CqMonitor {
 
     /// Scans the ring and reports activity since the previous scan.
     ///
-    /// The first scan primes the signature cache and reports zero (the
-    /// monitor cannot know how old pre-existing entries are).
+    /// The first scan primes the shadow and reports zero (the monitor
+    /// cannot know how old pre-existing entries are).
     pub fn scan(&mut self, now: SimTime) -> Result<ScanSample, MemError> {
         self.scan_faulted(now, None)
     }
 
-    /// [`CqMonitor::scan`] with an injected torn read: the bytes of
-    /// `tear_slot` in the *snapshot copy* are garbled before decoding, as
-    /// if dom0's read raced the HCA's DMA write. Guest memory is untouched.
+    /// [`CqMonitor::scan`] with an injected torn read of `tear_slot`, as if
+    /// dom0's read raced the HCA's DMA write: the slot counts as torn and
+    /// keeps its shadow, whatever its bytes. Guest memory is untouched.
     pub fn scan_faulted(
         &mut self,
         _now: SimTime,
         tear_slot: Option<u32>,
     ) -> Result<ScanSample, MemError> {
-        let mut snapshot = self.mapping.snapshot()?;
-        if let Some(slot) = tear_slot {
-            if slot < self.capacity {
-                // A status byte no WcStatus maps to: decoding must fail.
-                snapshot[slot as usize * CQE_SIZE + 19] = 0xEE;
-            }
+        let ring_len = self.capacity as usize * CQE_SIZE;
+        let priming = self.shadow.is_empty();
+        if priming {
+            self.shadow = vec![[0xFF; CQE_SIZE]; self.capacity as usize];
         }
-        let mut changed = 0u32;
-        let mut changed_bytes = 0u64;
-        let mut changed_mtus = 0u64;
-        let mut torn = 0u32;
-        let mut freshest: Option<u16> = self.latest_counter;
-        for slot in 0..self.capacity as usize {
-            let raw: &[u8; CQE_SIZE] = snapshot[slot * CQE_SIZE..(slot + 1) * CQE_SIZE]
-                .try_into()
-                .expect("slot slice is CQE_SIZE");
-            let decoded = match Cqe::try_decode(raw) {
-                Ok(pair) => Some(pair),
-                // The uninitialized fill pattern is not torn — just empty.
-                Err(_) if raw.iter().all(|&b| b == 0xFF) => None,
-                Err(_) => {
-                    torn += 1;
-                    continue;
-                }
-            };
-            let sig = decoded.map(|(c, owner)| (c.wr_id, c.wqe_counter, owner));
-            if sig != self.sigs[slot] {
-                self.sigs[slot] = sig;
-                if let Some((cqe, _)) = decoded {
-                    changed += 1;
-                    changed_bytes += cqe.byte_len as u64;
-                    changed_mtus += cqe.byte_len.div_ceil(self.mtu).max(1) as u64;
-                    freshest = Some(match freshest {
-                        None => cqe.wqe_counter,
-                        Some(f) => {
-                            if wrapping_ahead(f, cqe.wqe_counter) > 0 {
-                                cqe.wqe_counter
-                            } else {
-                                f
-                            }
-                        }
-                    });
+        let mut tally = Tally {
+            mtu: self.mtu,
+            tear_slot: tear_slot.map(|t| t as usize),
+            changed: 0,
+            changed_bytes: 0,
+            changed_mtus: 0,
+            torn: 0,
+            freshest: self.latest_counter,
+        };
+        let shadow = &mut self.shadow;
+        // Window offset of the next piece, and the bytes read so far of a
+        // slot that straddles a page boundary.
+        let mut pos = 0;
+        let mut split = [0u8; CQE_SIZE];
+        self.mapping.read_pieces(0, ring_len, |mut piece| {
+            let filled = pos % CQE_SIZE;
+            if filled != 0 {
+                let take = (CQE_SIZE - filled).min(piece.len());
+                split[filled..filled + take].copy_from_slice(&piece[..take]);
+                piece = &piece[take..];
+                pos += take;
+                if pos % CQE_SIZE == 0 {
+                    let slot = pos / CQE_SIZE - 1;
+                    tally.slot(slot, &split, &mut shadow[slot]);
                 }
             }
-        }
-        if !self.primed {
-            self.primed = true;
+            let (body, tail) = piece.as_chunks::<CQE_SIZE>();
+            let first = pos / CQE_SIZE;
+            let seen = &mut shadow[first..first + body.len()];
+            if body == seen {
+                // Unchanged since the last scan: only a tear can count.
+                let slots = first..first + body.len();
+                if tally.tear_slot.is_some_and(|t| slots.contains(&t)) {
+                    tally.torn += 1;
+                }
+            } else {
+                for (i, (raw, sh)) in body.iter().zip(seen).enumerate() {
+                    tally.slot(first + i, raw, sh);
+                }
+            }
+            pos += piece.len();
+            split[..tail.len()].copy_from_slice(tail);
+        })?;
+        let Tally {
+            changed,
+            changed_bytes,
+            changed_mtus,
+            torn,
+            freshest,
+            ..
+        } = tally;
+        if priming {
             self.latest_counter = freshest;
             return Ok(ScanSample {
                 torn,
@@ -347,14 +421,14 @@ mod tests {
         let (_m, mut cq, mut mon) = setup(8);
         push(&mut cq, 1, 0, 1024);
         mon.scan(t(0)).unwrap();
-        // New CQE lands in slot 1; the scan's copy of that slot is garbled.
+        // New CQE lands in slot 1; the scan reads that slot torn.
         push(&mut cq, 2, 1, 2048);
         let s = mon.scan_faulted(t(1), Some(1)).unwrap();
         assert_eq!(s.torn, 1);
         assert_eq!(s.completions, 0, "the torn slot is not counted");
         assert!(s.aliased, "a torn scan is flagged as undersampled");
-        // The cached signature was not poisoned: the next clean scan sees
-        // the settled value and recovers the completion.
+        // The shadow was not poisoned: the next clean scan sees the
+        // settled value and recovers the completion.
         let s = mon.scan(t(2)).unwrap();
         assert_eq!(s.torn, 0);
         assert_eq!(s.completions, 1);
@@ -365,8 +439,8 @@ mod tests {
     fn tearing_an_empty_slot_still_counts_as_torn() {
         let (_m, _cq, mut mon) = setup(8);
         mon.scan(t(0)).unwrap();
-        // Slot 7 is uninitialized (all 0xFF); garbling one byte makes it
-        // non-empty garbage, which reads as torn, not as a completion.
+        // Slot 7 is uninitialized (all 0xFF) and equal to its shadow, yet a
+        // torn read of it counts as torn, not as empty or a completion.
         let s = mon.scan_faulted(t(1), Some(7)).unwrap();
         assert_eq!(s.torn, 1);
         assert_eq!(s.completions, 0);

@@ -5,8 +5,12 @@
 //! guest — and the HCA — keep writing. [`ForeignMapping`] is the simulated
 //! analogue: a window `[base, base+len)` over another domain's
 //! [`GuestMemory`], offering read (and optionally write)
-//! access through the same shared storage, so the monitor observes DMA'd
-//! bytes with zero-copy semantics.
+//! access through the same shared storage the guest and the HCA write.
+//!
+//! [`ForeignMapping::read_pieces`] is the zero-copy path: it lends the
+//! guest's own page storage to the caller, one page-bounded `&[u8]` at a
+//! time under a single read lock, so a monitor observes DMA'd bytes where
+//! they lie. [`ForeignMapping::read_at`] copies into a caller buffer.
 
 use crate::error::MemError;
 use crate::memory::{Gpa, GuestMemory, MemoryHandle};
@@ -105,11 +109,20 @@ impl ForeignMapping {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Snapshots the whole window into a fresh buffer.
-    pub fn snapshot(&self) -> Result<Vec<u8>, MemError> {
-        let mut buf = vec![0u8; self.len];
-        self.read_at(0, &mut buf)?;
-        Ok(buf)
+    /// Calls `f` with each page-bounded piece of `[offset, offset+len)`
+    /// within the window, in order, borrowing the guest's pages in place
+    /// under one read lock. Untouched pages read as zeros. Bounds errors
+    /// match [`ForeignMapping::read_at`].
+    pub fn read_pieces(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnMut(&[u8]),
+    ) -> Result<(), MemError> {
+        self.check(offset, len)?;
+        self.mem
+            .read()
+            .read_pieces(self.base.add(offset as u64), len, f)
     }
 
     /// Writes through the mapping (read-write mappings only).
@@ -137,6 +150,7 @@ impl std::fmt::Debug for ForeignMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::PAGE_SIZE;
 
     #[test]
     fn mapping_sees_guest_writes() {
@@ -171,17 +185,67 @@ mod tests {
         assert!(map.read_at(4088, &mut b).is_ok());
     }
 
+    /// Concatenates the pieces `read_pieces` lends, checking each stays
+    /// inside one page.
+    fn pieces(map: &ForeignMapping, offset: usize, len: usize) -> Result<Vec<u8>, MemError> {
+        let mut out = Vec::new();
+        let mut gpa = map.base().add(offset as u64);
+        map.read_pieces(offset, len, |p| {
+            assert!(!p.is_empty());
+            assert!(
+                gpa.page_offset() + p.len() <= PAGE_SIZE,
+                "piece crosses a page"
+            );
+            gpa = gpa.add(p.len() as u64);
+            out.extend_from_slice(p);
+        })?;
+        Ok(out)
+    }
+
     #[test]
-    fn snapshot_copies_window() {
-        let guest = MemoryHandle::new(8 * 1024);
-        guest.write(Gpa::new(0), &[1, 2, 3, 4]).unwrap();
-        let map = ForeignMapping::map(&guest, Gpa::new(0), 16).unwrap();
-        let snap = map.snapshot().unwrap();
-        assert_eq!(&snap[..4], &[1, 2, 3, 4]);
-        assert_eq!(snap.len(), 16);
-        // A snapshot is a copy: later guest writes don't alter it.
-        guest.write(Gpa::new(0), &[9]).unwrap();
-        assert_eq!(snap[0], 1);
+    fn pieces_cover_the_window_in_order() {
+        let guest = MemoryHandle::new(64 * 1024);
+        // A base 100 bytes into a page: pieces split at every boundary.
+        let base = Gpa::new(PAGE_SIZE as u64 + 100);
+        let len = 3 * PAGE_SIZE;
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        guest.write(base, &data).unwrap();
+        let map = ForeignMapping::map(&guest, base, len).unwrap();
+        assert_eq!(pieces(&map, 0, len).unwrap(), data);
+        let mut copied = vec![0u8; 5000];
+        map.read_at(77, &mut copied).unwrap();
+        assert_eq!(pieces(&map, 77, 5000).unwrap(), copied);
+        assert!(pieces(&map, 10, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn pieces_of_untouched_pages_read_as_zero() {
+        let guest = MemoryHandle::new(64 * 1024);
+        guest.write(Gpa::new(0), &[5; 8]).unwrap();
+        let map = ForeignMapping::map(&guest, Gpa::new(0), 3 * PAGE_SIZE).unwrap();
+        let got = pieces(&map, 0, 3 * PAGE_SIZE).unwrap();
+        assert_eq!(&got[..8], &[5; 8]);
+        assert!(got[8..].iter().all(|&b| b == 0));
+        assert_eq!(
+            guest.with_read(|m| m.resident_pages()),
+            1,
+            "reads materialize nothing"
+        );
+    }
+
+    #[test]
+    fn pieces_outside_the_window_fail_like_read_at() {
+        let guest = MemoryHandle::new(16 * 1024);
+        let map = ForeignMapping::map(&guest, Gpa::new(1024), 4096).unwrap();
+        for (offset, len) in [(4090, 8), (4097, 0), (8000, 1)] {
+            let mut buf = vec![0u8; len];
+            let want = map.read_at(offset, &mut buf).unwrap_err();
+            let mut called = false;
+            let got = map.read_pieces(offset, len, |_| called = true).unwrap_err();
+            assert_eq!(got, want, "offset {offset} len {len}");
+            assert!(!called, "no piece is lent on a bounds error");
+        }
+        assert!(pieces(&map, 4088, 8).is_ok());
     }
 
     #[test]

@@ -143,17 +143,32 @@ impl GuestMemory {
 
     /// Reads `buf.len()` bytes starting at `gpa`.
     pub fn read(&self, gpa: Gpa, buf: &mut [u8]) -> Result<(), MemError> {
-        self.check_range(gpa, buf.len())?;
+        let mut done = 0;
+        self.read_pieces(gpa, buf.len(), |piece| {
+            buf[done..done + piece.len()].copy_from_slice(piece);
+            done += piece.len();
+        })
+    }
+
+    /// Calls `f` with each page-bounded piece of `[gpa, gpa+len)` in
+    /// address order, borrowing page storage in place. Untouched pages read
+    /// as zeros.
+    pub fn read_pieces(
+        &self,
+        gpa: Gpa,
+        len: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), MemError> {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        self.check_range(gpa, len)?;
         let mut addr = gpa.raw();
         let mut done = 0;
-        while done < buf.len() {
+        while done < len {
             let frame = (addr / PAGE_SIZE as u64) as usize;
             let off = (addr % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - off).min(buf.len() - done);
-            match &self.pages[frame].data {
-                Some(p) => buf[done..done + n].copy_from_slice(&p[off..off + n]),
-                None => buf[done..done + n].fill(0),
-            }
+            let n = (PAGE_SIZE - off).min(len - done);
+            let page = self.pages[frame].data.as_deref().unwrap_or(&ZERO_PAGE);
+            f(&page[off..off + n]);
             done += n;
             addr += n as u64;
         }
@@ -369,6 +384,25 @@ mod tests {
         m.read(gpa, &mut out).unwrap();
         assert_eq!(out, data);
         assert_eq!(m.resident_pages(), 2, "write spans two pages");
+    }
+
+    #[test]
+    fn read_pieces_borrows_page_bounded_pieces() {
+        let mut m = GuestMemory::new(4 * PAGE_SIZE as u64);
+        m.write(Gpa::new(PAGE_SIZE as u64 - 2), &[1, 2, 3, 4])
+            .unwrap();
+        let mut pieces = Vec::new();
+        m.read_pieces(Gpa::new(PAGE_SIZE as u64 - 2), PAGE_SIZE + 4, |p| {
+            pieces.push(p.to_vec())
+        })
+        .unwrap();
+        let lens: Vec<usize> = pieces.iter().map(Vec::len).collect();
+        assert_eq!(lens, [2, PAGE_SIZE, 2], "split at page boundaries");
+        assert_eq!(pieces[0], [1, 2]);
+        assert_eq!(&pieces[1][..2], &[3, 4]);
+        // Page 2 was never written: it reads as zeros without materializing.
+        assert_eq!(pieces[2], [0, 0]);
+        assert_eq!(m.resident_pages(), 2);
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //! it only trips when someone reintroduces a per-event allocation, not
 //! on setup-cost noise. It must pass in debug builds: the budget counts
 //! allocator calls, not cycles.
+//!
+//! The IBMon ring scan, which runs on every VM every charging interval,
+//! is held to a stricter budget: once primed it allocates nothing.
 
+use resex_fabric::{CompletionQueue, CqNum, Cqe, Opcode, QpNum, WcStatus, CQE_SIZE};
+use resex_ibmon::CqMonitor;
 use resex_platform::{run_scenario, PolicyKind, ScenarioConfig};
-use resex_simcore::time::SimDuration;
+use resex_simcore::time::{SimDuration, SimTime};
+use resex_simmem::{ForeignMapping, MemoryHandle};
 
 #[global_allocator]
 static ALLOC: resex_obs::alloc::CountingAlloc = resex_obs::alloc::CountingAlloc;
@@ -46,4 +52,52 @@ fn hot_path_stays_under_half_an_allocation_per_event() {
         "hot path regressed to {per_event:.3} allocs/event \
          ({allocs} allocations over {events} events)"
     );
+}
+
+/// Bytes allocated by 64 scans of a primed 1024-slot ring that receives
+/// four fresh CQEs before each scan; with `torn`, every scan also has an
+/// injected torn slot.
+fn scan_alloc_bytes(torn: bool) -> u64 {
+    const SLOTS: u32 = 1024;
+    let mem = MemoryHandle::new(1 << 20);
+    let len = SLOTS as usize * CQE_SIZE;
+    let gpa = mem.alloc_bytes(len as u64).unwrap();
+    let mut cq = CompletionQueue::new(CqNum::new(0), mem.clone(), gpa, SLOTS).unwrap();
+    let mapping = ForeignMapping::map(&mem, gpa, len).unwrap();
+    let mut mon = CqMonitor::new(mapping, SLOTS, 1024).unwrap();
+    mon.scan(SimTime::ZERO).unwrap();
+    let mut counter = 0u16;
+    let mut bytes = 0;
+    for tick in 1..=64u32 {
+        for _ in 0..4 {
+            cq.push(Cqe {
+                wr_id: counter as u64,
+                qp_num: QpNum::new(1),
+                byte_len: 65536,
+                wqe_counter: counter,
+                opcode: Opcode::Send,
+                status: WcStatus::Success,
+                imm_data: 0,
+            })
+            .unwrap();
+            cq.poll().unwrap();
+            counter = counter.wrapping_add(1);
+        }
+        let tear = torn.then_some(tick * 37 % SLOTS);
+        let (_, before) = resex_obs::alloc::thread_counters();
+        let s = mon
+            .scan_faulted(SimTime::from_millis(tick as u64), tear)
+            .unwrap();
+        let (_, after) = resex_obs::alloc::thread_counters();
+        bytes += after.wrapping_sub(before);
+        assert_eq!(s.torn, torn as u32);
+        assert!(s.completions >= 3, "scan {tick} saw {s:?}");
+    }
+    bytes
+}
+
+#[test]
+fn primed_ring_scans_allocate_nothing() {
+    assert_eq!(scan_alloc_bytes(false), 0, "clean scans allocated");
+    assert_eq!(scan_alloc_bytes(true), 0, "torn scans allocated");
 }
