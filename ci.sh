@@ -3,8 +3,9 @@
 #
 # Usage: ./ci.sh [--quick]
 #   --quick  fast tier: fmt/clippy/build/test plus the byte-identity gates
-#            (thread-count, profiler zero-perturbation, sharded-calendar,
-#            committed-baseline). Minutes, suitable for every push.
+#            (thread-count, profiler zero-perturbation, committed-baseline).
+#            Minutes, suitable for every push. Windowed-vs-whole calendar
+#            identity is a workspace test (tests/rack_claims.rs).
 #   (bare)   full tier: the quick tier plus fault/adversary/crash soaks,
 #            the chaos explorer, the sweep + rack scaling measurements and
 #            their BENCH_*.json artifacts, and the perf-regression gate.
@@ -49,18 +50,21 @@ CORES=$(nproc)
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-echo "==> determinism gate: fig9 --quick JSON, RESEX_THREADS=1 vs $PAR_THREADS"
-RESEX_THREADS=1 "$REPRO" fig9 --quick --json "$TMP/fig9_seq.json" >/dev/null 2>&1
-RESEX_THREADS="$PAR_THREADS" "$REPRO" fig9 --quick --json "$TMP/fig9_par.json" >/dev/null 2>&1
-cmp "$TMP/fig9_seq.json" "$TMP/fig9_par.json"
-echo "    byte-identical"
+# fig9_replay NAME THREADS CHECK [ARGS...]: runs `repro fig9 --quick ARGS`
+# on one pool thread, then on THREADS, and cmps the two JSON files. The
+# first run is kept as $TMP/NAME.json with its output in $TMP/NAME.txt,
+# then CHECK (a function, or `:` for none) runs with NAME as argument.
+fig9_replay() {
+    local name=$1 threads=$2 check=$3
+    shift 3
+    RESEX_THREADS=1 "$REPRO" fig9 --quick "$@" --json "$TMP/$name.json" > "$TMP/$name.txt" 2>&1
+    RESEX_THREADS="$threads" "$REPRO" fig9 --quick "$@" --json "$TMP/$name.b.json" >/dev/null 2>&1
+    cmp "$TMP/$name.json" "$TMP/$name.b.json"
+    "$check" "$name"
+}
 
-echo "==> sharded-determinism gate: RESEX_SHARDED=1 fig9 --quick vs monolithic calendar"
-# The sharded runner's hard contract: advancing the calendar in
-# conservative-lookahead windows (horizon = link one-way latency) must be
-# state-neutral — not a byte of figure data may move.
-RESEX_SHARDED=1 RESEX_THREADS=1 "$REPRO" fig9 --quick --json "$TMP/fig9_shard.json" >/dev/null 2>&1
-cmp "$TMP/fig9_seq.json" "$TMP/fig9_shard.json"
+echo "==> determinism gate: fig9 --quick JSON, RESEX_THREADS=1 vs $PAR_THREADS"
+fig9_replay fig9_seq "$PAR_THREADS" :
 echo "    byte-identical"
 
 echo "==> zero-perturbation gate: profiled fig9 JSON byte-identical to unprofiled"
@@ -96,70 +100,37 @@ for seed in 1 2 3; do
     echo "    seed=$seed ok"
 done
 
-echo "==> faulted-run determinism gate: same fault seed, byte-identical JSON"
-FAULTS="loss=0.01,corrupt=0.002,skip=0.02,capfail=0.02,seed=7"
-RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$FAULTS" \
-    --json "$TMP/fig9_fault_a.json" >/dev/null 2>&1
-RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$FAULTS" \
-    --json "$TMP/fig9_fault_b.json" >/dev/null 2>&1
-cmp "$TMP/fig9_fault_a.json" "$TMP/fig9_fault_b.json"
-echo "    byte-identical"
+# Post-checks for the replay table below; each gets the gate's NAME.
+# `need NAME EXT PATTERN`: the first run's NAME.EXT must match PATTERN.
+need() {
+    grep -q -- "$3" "$TMP/$1.$2" || {
+        echo "    FAIL: $1: no match for '$3':"; grep -E "recovery:|crashes:" "$TMP/$1.txt"; exit 1; }
+}
+# The flapping sweep reconnected (the recovery line only appears then)
+# and permanently lost nothing.
+recovered() { need "$1" txt "recovery: .* lost=0 "; }
+attacked() { need "$1" json '"adversary"'; }
+# Outages in every failure domain fired, Resos were conserved, and any
+# reconnects lost nothing.
+crashed() {
+    need "$1" txt "crashes: .*journal_divergence=0"
+    if grep -q "recovery: " "$TMP/$1.txt"; then recovered "$1"; fi
+}
 
-echo "==> recovery soak gate: fig9 --quick under 1% loss + periodic link flaps"
-# The self-healing layer's acceptance bar: the flapping sweep completes,
-# permanently loses nothing (lost=0 on the printed recovery line, which
-# only appears when reconnect-with-replay actually happened), and is
-# byte-identical across two runs.
-SOAK="loss=0.01,flap_ms=50,flap_down_us=2000,seed=7"
-RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$SOAK" \
-    --json "$TMP/fig9_soak_a.json" > "$TMP/fig9_soak_a.txt" 2>&1
-RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$SOAK" \
-    --json "$TMP/fig9_soak_b.json" > /dev/null 2>&1
-cmp "$TMP/fig9_soak_a.json" "$TMP/fig9_soak_b.json"
-grep -q "recovery: " "$TMP/fig9_soak_a.txt" || {
-    echo "    FAIL: no recovery line — flaps never broke a QP"; exit 1; }
-grep "recovery: " "$TMP/fig9_soak_a.txt" | grep -q " lost=0 " || {
-    echo "    FAIL: requests permanently lost:"; \
-    grep "recovery: " "$TMP/fig9_soak_a.txt"; exit 1; }
-sed -n 's/^  recovery:/    survived flaps:/p' "$TMP/fig9_soak_a.txt"
-echo "    byte-identical across runs, lost=0"
-
-echo "==> adversary smoke gate: each attacker class completes and replays byte-identically"
-for class in burst freeride poison collude; do
-    SPEC="class=$class,seed=5"
-    RESEX_THREADS=1 "$REPRO" fig9 --quick --adversary "$SPEC" \
-        --json "$TMP/fig9_adv_a.json" > "$TMP/fig9_adv_a.txt" 2>&1
-    RESEX_THREADS=1 "$REPRO" fig9 --quick --adversary "$SPEC" \
-        --json "$TMP/fig9_adv_b.json" >/dev/null 2>&1
-    cmp "$TMP/fig9_adv_a.json" "$TMP/fig9_adv_b.json"
-    grep -q '"adversary"' "$TMP/fig9_adv_a.json" || {
-        echo "    FAIL: $class: attacked run reported no adversary totals"; exit 1; }
-    echo "    class=$class ok (complete, totals reported, replay byte-identical)"
-done
-
-echo "==> crash soak gate: fig9 --quick under a manager/host/VM crash mix"
-# The crash plane's acceptance bar: a sweep peppered with outages in
-# every failure domain completes, permanently loses nothing, conserves
-# Resos (journal_divergence=0 on the printed crashes line), and replays
-# byte-identically.
-CRASH="mgr_crash=0.01,mgr_down_ms=20,host_crash=0.002,host_down_ms=10,vm_crash=0.01,vm_down_ms=5,seed=7"
-RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$CRASH" \
-    --json "$TMP/fig9_crash_a.json" > "$TMP/fig9_crash_a.txt" 2>&1
-RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$CRASH" \
-    --json "$TMP/fig9_crash_b.json" > /dev/null 2>&1
-cmp "$TMP/fig9_crash_a.json" "$TMP/fig9_crash_b.json"
-grep -q "crashes: " "$TMP/fig9_crash_a.txt" || {
-    echo "    FAIL: no crashes line — the crash mix never fired"; exit 1; }
-grep "crashes: " "$TMP/fig9_crash_a.txt" | grep -q "journal_divergence=0" || {
-    echo "    FAIL: Resos not conserved across outages:"; \
-    grep "crashes: " "$TMP/fig9_crash_a.txt"; exit 1; }
-if grep -q "recovery: " "$TMP/fig9_crash_a.txt"; then
-    grep "recovery: " "$TMP/fig9_crash_a.txt" | grep -q " lost=0 " || {
-        echo "    FAIL: requests permanently lost:"; \
-        grep "recovery: " "$TMP/fig9_crash_a.txt"; exit 1; }
-fi
-sed -n 's/^  crashes:/    survived crashes:/p' "$TMP/fig9_crash_a.txt"
-echo "    byte-identical across runs, journal_divergence=0, lost=0"
+echo "==> replay gates: a fixed fault/adversary/crash seed replays byte-identically"
+while read -r name check args; do
+    fig9_replay "$name" 1 "$check" $args < /dev/null
+    sed -n 's/^  \(recovery\|crashes\):/    \1:/p' "$TMP/$name.txt"
+    echo "    $name ok"
+done <<'GATES'
+faulted   :         --faults loss=0.01,corrupt=0.002,skip=0.02,capfail=0.02,seed=7
+flap_soak recovered --faults loss=0.01,flap_ms=50,flap_down_us=2000,seed=7
+burst     attacked  --adversary class=burst,seed=5
+freeride  attacked  --adversary class=freeride,seed=5
+poison    attacked  --adversary class=poison,seed=5
+collude   attacked  --adversary class=collude,seed=5
+crash     crashed   --faults mgr_crash=0.01,mgr_down_ms=20,host_crash=0.002,host_down_ms=10,vm_crash=0.01,vm_down_ms=5,seed=7
+GATES
 
 echo "==> chaos explorer gate: fixed seed/budget must find zero invariant violations"
 # The explorer generates random fault-schedule compositions and checks

@@ -47,7 +47,7 @@ use resex_bench::report::{build_report, merged_profile, Provenance};
 use resex_platform::experiments::{
     ablation, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, hw_qos, rack, scaling, Scale,
 };
-use resex_platform::{run_scenario_observed, PolicyKind, ScenarioConfig};
+use resex_platform::{PolicyKind, ScenarioConfig};
 use serde_json::{json, Value};
 use std::io::Write;
 
@@ -78,14 +78,10 @@ seed=N attackers=I+J+.. victim=I intensity=F duty=F"
 /// contention case (64KB reporting VM vs 2MB interferer, FreeMarket).
 fn observed_representative(scale: &Scale, trace_path: Option<&str>, metrics_path: Option<&str>) {
     let mut cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::FreeMarket);
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
     cfg.obs.trace = trace_path.is_some();
     cfg.obs.metrics = metrics_path.is_some();
     let label = cfg.label.clone();
-    let (run, observed) = run_scenario_observed(cfg);
+    let (run, observed) = scale.run([(scale.duration, cfg)]).remove(0);
     eprintln!("[observed {label}: {} events]", run.events_processed);
     if let (Some(out), Some(json)) = (trace_path, &observed.trace_json) {
         std::fs::write(out, json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
@@ -99,76 +95,43 @@ fn observed_representative(scale: &Scale, trace_path: Option<&str>, metrics_path
 
 /// A computed figure: printing is deferred so `all` can compute targets
 /// concurrently and still print in canonical order.
-enum FigOutput {
-    Fig1(fig1::Fig1Result),
-    Fig2(fig2::Fig2Result),
-    Fig3(fig3::Fig3Result),
-    Fig4(fig4::Fig4Result),
-    Fig5(fig5::Fig5Result),
-    Fig6(fig6::Fig6Result),
-    Fig7(fig7::Fig7Result),
-    Fig8(fig8::Fig8Result),
-    Fig9(fig9::Fig9Result),
-    Ablation(ablation::AblationResult),
-    HwQos(hw_qos::HwQosResult),
-    Scaling(scaling::ScalingResult),
-    Rack(rack::RackResult),
+trait Figure: Send {
+    fn print(&self);
+    fn json(&self) -> Value;
 }
 
-impl FigOutput {
+/// A figure result paired with its printer.
+struct Fig<R>(R, fn(&R));
+
+impl<R: serde::Serialize + Send> Figure for Fig<R> {
     fn print(&self) {
-        match self {
-            FigOutput::Fig1(r) => r.print(),
-            FigOutput::Fig2(r) => r.print(),
-            FigOutput::Fig3(r) => r.print(),
-            FigOutput::Fig4(r) => r.print(),
-            FigOutput::Fig5(r) => r.print(),
-            FigOutput::Fig6(r) => r.print(),
-            FigOutput::Fig7(r) => r.print(),
-            FigOutput::Fig8(r) => r.print(),
-            FigOutput::Fig9(r) => r.print(),
-            FigOutput::Ablation(r) => r.print(),
-            FigOutput::HwQos(r) => r.print(),
-            FigOutput::Scaling(r) => r.print(),
-            FigOutput::Rack(r) => r.print(),
-        }
+        (self.1)(&self.0)
     }
 
-    fn json(&self, target: &str) -> Value {
-        match self {
-            FigOutput::Fig1(r) => json!({ target: r }),
-            FigOutput::Fig2(r) => json!({ target: r }),
-            FigOutput::Fig3(r) => json!({ target: r }),
-            FigOutput::Fig4(r) => json!({ target: r }),
-            FigOutput::Fig5(r) => json!({ target: r }),
-            FigOutput::Fig6(r) => json!({ target: r }),
-            FigOutput::Fig7(r) => json!({ target: r }),
-            FigOutput::Fig8(r) => json!({ target: r }),
-            FigOutput::Fig9(r) => json!({ target: r }),
-            FigOutput::Ablation(r) => json!({ target: r }),
-            FigOutput::HwQos(r) => json!({ target: r }),
-            FigOutput::Scaling(r) => json!({ target: r }),
-            FigOutput::Rack(r) => json!({ target: r }),
-        }
+    fn json(&self) -> Value {
+        json!(self.0)
     }
 }
 
 /// Runs one target's simulations without printing anything.
-fn compute_target(target: &str, scale: &Scale) -> FigOutput {
+fn compute_target(target: &str, scale: &Scale) -> Box<dyn Figure> {
+    fn fig<R: serde::Serialize + Send + 'static>(r: R, print: fn(&R)) -> Box<dyn Figure> {
+        Box::new(Fig(r, print))
+    }
     match target {
-        "fig1" => FigOutput::Fig1(fig1::run(scale)),
-        "fig2" => FigOutput::Fig2(fig2::run(scale)),
-        "fig3" => FigOutput::Fig3(fig3::run(scale)),
-        "fig4" => FigOutput::Fig4(fig4::run(scale)),
-        "fig5" => FigOutput::Fig5(fig5::run(scale)),
-        "fig6" => FigOutput::Fig6(fig6::run(scale)),
-        "fig7" => FigOutput::Fig7(fig7::run(scale)),
-        "fig8" => FigOutput::Fig8(fig8::run(scale)),
-        "fig9" => FigOutput::Fig9(fig9::run(scale)),
-        "ablation" => FigOutput::Ablation(ablation::run(scale)),
-        "hw_qos" => FigOutput::HwQos(hw_qos::run(scale)),
-        "scaling" => FigOutput::Scaling(scaling::run(scale)),
-        "rack" => FigOutput::Rack(rack::run(scale)),
+        "fig1" => fig(fig1::run(scale), fig1::Fig1Result::print),
+        "fig2" => fig(fig2::run(scale), fig2::Fig2Result::print),
+        "fig3" => fig(fig3::run(scale), fig3::Fig3Result::print),
+        "fig4" => fig(fig4::run(scale), fig4::Fig4Result::print),
+        "fig5" => fig(fig5::run(scale), fig5::Fig5Result::print),
+        "fig6" => fig(fig6::run(scale), fig6::Fig6Result::print),
+        "fig7" => fig(fig7::run(scale), fig7::Fig7Result::print),
+        "fig8" => fig(fig8::run(scale), fig8::Fig8Result::print),
+        "fig9" => fig(fig9::run(scale), fig9::Fig9Result::print),
+        "ablation" => fig(ablation::run(scale), ablation::AblationResult::print),
+        "hw_qos" => fig(hw_qos::run(scale), hw_qos::HwQosResult::print),
+        "scaling" => fig(scaling::run(scale), scaling::ScalingResult::print),
+        "rack" => fig(rack::run(scale), rack::RackResult::print),
         _ => usage(),
     }
 }
@@ -335,7 +298,7 @@ fn main() {
     // own sweep), then print in canonical order: output is byte-identical
     // to a sequential run.
     let t_all = std::time::Instant::now();
-    let computed: Vec<(&str, FigOutput, f64)> = targets
+    let computed: Vec<(&str, Box<dyn Figure>, f64)> = targets
         .into_par_iter()
         .map(|t| {
             let t0 = std::time::Instant::now();
@@ -356,9 +319,7 @@ fn main() {
             out.print();
         }
         eprintln!("[{t} done in {secs:.1}s]\n");
-        if let Value::Object(m) = out.json(t) {
-            doc.extend(m);
-        }
+        doc.insert(t.to_string(), out.json());
         if !profile_mode {
             println!();
         }

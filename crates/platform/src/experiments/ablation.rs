@@ -16,8 +16,6 @@
 
 use crate::experiments::{mean_std, Scale};
 use crate::scenario::{PolicyKind, ScenarioConfig};
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use resex_core::DepletionMode;
 use resex_hypervisor::SchedModel;
 use resex_simcore::time::SimDuration;
@@ -43,21 +41,16 @@ pub struct AblationResult {
     pub rows: Vec<AblationRow>,
 }
 
-fn managed(scale: &Scale) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::IoShares);
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
-    cfg
+fn managed() -> ScenarioConfig {
+    ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::IoShares)
 }
 
-/// Runs every ablation point (in parallel).
+/// Runs every ablation point.
 pub fn run(scale: &Scale) -> AblationResult {
     let mut cases: Vec<(String, String, ScenarioConfig)> = Vec::new();
 
     for grant in [1u32, 4, 16, 64] {
-        let mut cfg = managed(scale);
+        let mut cfg = managed();
         cfg.fabric.grant_mtus = grant;
         cases.push(("grant_mtus".into(), grant.to_string(), cfg));
     }
@@ -70,22 +63,22 @@ pub fn run(scale: &Scale) -> AblationResult {
             },
         ),
     ] {
-        let mut cfg = managed(scale);
+        let mut cfg = managed();
         cfg.sched = model;
         cases.push(("sched_model".into(), name.into(), cfg));
     }
     for interval_ms in [1u64, 5, 20] {
-        let mut cfg = managed(scale);
+        let mut cfg = managed();
         cfg.resex.interval = SimDuration::from_millis(interval_ms);
         cases.push(("interval".into(), format!("{interval_ms}ms"), cfg));
     }
     for sla in [5.0f64, 10.0, 25.0] {
-        let mut cfg = managed(scale);
+        let mut cfg = managed();
         cfg.resex.sla_threshold_pct = sla;
         cases.push(("sla_threshold".into(), format!("{sla}%"), cfg));
     }
     for jitter in [0.0f64, 0.02, 0.05] {
-        let mut cfg = managed(scale);
+        let mut cfg = managed();
         cfg.fabric.hw_jitter = jitter;
         cases.push(("hw_jitter".into(), format!("{:.0}%", jitter * 100.0), cfg));
     }
@@ -97,18 +90,18 @@ pub fn run(scale: &Scale) -> AblationResult {
         // Depletion modes matter under FreeMarket, where depletion is the
         // only throttle.
         let mut cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::FreeMarket);
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        scale.stamp_faults(&mut cfg);
-        scale.stamp_adversary(&mut cfg);
         cfg.resex.depletion = mode;
         cases.push(("depletion".into(), name.into(), cfg));
     }
 
-    let rows = cases
-        .into_par_iter()
-        .map(|(knob, value, cfg)| {
-            let run = run_scenario(cfg);
+    let (points, cfgs): (Vec<_>, Vec<_>) = cases
+        .into_iter()
+        .map(|(knob, value, cfg)| ((knob, value), (scale.duration, cfg)))
+        .unzip();
+    let rows = points
+        .into_iter()
+        .zip(scale.run(cfgs))
+        .map(|((knob, value), (run, _))| {
             let (mean, std) = mean_std(&run, "64KB");
             AblationRow {
                 knob,

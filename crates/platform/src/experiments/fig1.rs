@@ -8,7 +8,6 @@
 
 use crate::experiments::{mean_std, Scale};
 use crate::scenario::ScenarioConfig;
-use crate::world::run_scenario;
 use serde::Serialize;
 
 /// Histogram bins for one case.
@@ -34,28 +33,18 @@ pub struct Fig1Result {
 
 /// Runs the cases and bins the 64 KiB VM's service times.
 pub fn run(scale: &Scale) -> Fig1Result {
-    let mut base = ScenarioConfig::base_case(64 * 1024);
-    base.duration = scale.duration;
-    base.warmup = scale.warmup;
-    scale.stamp_faults(&mut base);
-    scale.stamp_adversary(&mut base);
-    let mut intf = ScenarioConfig::interfered(2 * 1024 * 1024);
-    intf.duration = scale.duration;
-    intf.warmup = scale.warmup;
-    scale.stamp_faults(&mut intf);
-    scale.stamp_adversary(&mut intf);
     let mut jit = ScenarioConfig::interfered(2 * 1024 * 1024);
     jit.label = "interfered-jittered".into();
     jit.fabric.hw_jitter = 0.03;
-    jit.duration = scale.duration;
-    jit.warmup = scale.warmup;
-    scale.stamp_faults(&mut jit);
-    scale.stamp_adversary(&mut jit);
-
-    let ((base, intf), jit) = rayon::join(
-        || rayon::join(|| run_scenario(base), || run_scenario(intf)),
-        || run_scenario(jit),
-    );
+    let d = scale.duration;
+    let [(base, _), (intf, _), (jit, _)]: [_; 3] = scale
+        .run([
+            (d, ScenarioConfig::base_case(64 * 1024)),
+            (d, ScenarioConfig::interfered(2 * 1024 * 1024)),
+            (d, jit),
+        ])
+        .try_into()
+        .expect("one run per case");
 
     // The paper bins 150–400 µs.
     let (lo, hi, nbins) = (150_000u64, 400_000u64, 25usize);

@@ -7,8 +7,6 @@
 
 use crate::experiments::{components, Scale};
 use crate::scenario::{ScenarioConfig, VmSpec};
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// One bar group of the figure.
@@ -35,7 +33,7 @@ pub struct Fig2Result {
     pub rows: Vec<Fig2Row>,
 }
 
-fn scenario(n_servers: u32, loaded: bool, scale: &Scale) -> ScenarioConfig {
+fn scenario(n_servers: u32, loaded: bool) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::base_case(64 * 1024);
     cfg.label = format!(
         "fig2-{n_servers}srv-{}",
@@ -47,20 +45,21 @@ fn scenario(n_servers: u32, loaded: bool, scale: &Scale) -> ScenarioConfig {
     if loaded {
         cfg.vms.push(VmSpec::server("2MB", 2 * 1024 * 1024));
     }
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
     cfg
 }
 
-/// Runs all six configurations (in parallel).
+/// Runs all six configurations.
 pub fn run(scale: &Scale) -> Fig2Result {
     let cases: Vec<(u32, bool)> = (1..=3).flat_map(|n| [(n, false), (n, true)]).collect();
+    let runs = scale.run(
+        cases
+            .iter()
+            .map(|&(n, loaded)| (scale.duration, scenario(n, loaded))),
+    );
     let rows = cases
-        .into_par_iter()
-        .map(|(n, loaded)| {
-            let run = run_scenario(scenario(n, loaded, scale));
+        .into_iter()
+        .zip(runs)
+        .map(|((n, loaded), (run, _))| {
             // Average components across the n reporting servers.
             let mut p = 0.0;
             let mut c = 0.0;

@@ -9,8 +9,6 @@
 
 use crate::experiments::{components, Scale};
 use crate::scenario::{fmt_size, ScenarioConfig};
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// One bar of the figure.
@@ -41,27 +39,30 @@ pub struct Fig3Result {
 
 /// Runs every ratio of the paper's x-axis: 32(2MB) … 1(64KB).
 pub fn run(scale: &Scale) -> Fig3Result {
-    let buffers: Vec<u32> = vec![
+    let points: Vec<(u32, u32, u32)> = [
         2 * 1024 * 1024,
         1024 * 1024,
         512 * 1024,
         256 * 1024,
         128 * 1024,
         64 * 1024,
-    ];
-    let rows = buffers
-        .into_par_iter()
-        .map(|buf| {
-            let ratio = buf / (64 * 1024);
-            let cap = (100 / ratio).max(1);
-            let mut cfg = ScenarioConfig::interfered(buf);
-            cfg.label = format!("fig3-ratio{ratio}");
-            cfg.vms[1] = cfg.vms[1].clone().with_cap(cap);
-            cfg.duration = scale.duration;
-            cfg.warmup = scale.warmup;
-            scale.stamp_faults(&mut cfg);
-            scale.stamp_adversary(&mut cfg);
-            let run = run_scenario(cfg);
+    ]
+    .into_iter()
+    .map(|buf| {
+        let ratio = buf / (64 * 1024);
+        (buf, ratio, (100 / ratio).max(1))
+    })
+    .collect();
+    let runs = scale.run(points.iter().map(|&(buf, ratio, cap)| {
+        let mut cfg = ScenarioConfig::interfered(buf);
+        cfg.label = format!("fig3-ratio{ratio}");
+        cfg.vms[1] = cfg.vms[1].clone().with_cap(cap);
+        (scale.duration, cfg)
+    }));
+    let rows = points
+        .into_iter()
+        .zip(runs)
+        .map(|((buf, ratio, cap), (run, _))| {
             let (p, c, w, t) = components(&run, "64KB");
             Fig3Row {
                 ratio,

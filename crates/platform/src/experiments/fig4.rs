@@ -8,8 +8,6 @@
 
 use crate::experiments::{components, Scale};
 use crate::scenario::ScenarioConfig;
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// One bar of the figure.
@@ -34,28 +32,27 @@ pub struct Fig4Result {
     pub rows: Vec<Fig4Row>,
 }
 
-/// Runs the cap sweep (in parallel).
+/// Runs the cap sweep.
 pub fn run(scale: &Scale) -> Fig4Result {
     let mut caps: Vec<Option<u32>> = (1..=10).rev().map(|c| Some(c * 10)).collect();
     caps.push(Some(3)); // the buffer-ratio value for 2 MiB / 64 KiB
     caps.push(None); // base case
+    let runs = scale.run(caps.iter().map(|&cap| {
+        let cfg = match cap {
+            Some(c) => {
+                let mut cfg = ScenarioConfig::interfered(2 * 1024 * 1024);
+                cfg.vms[1] = cfg.vms[1].clone().with_cap(c);
+                cfg.label = format!("fig4-cap{c}");
+                cfg
+            }
+            None => ScenarioConfig::base_case(64 * 1024),
+        };
+        (scale.duration, cfg)
+    }));
     let rows = caps
-        .into_par_iter()
-        .map(|cap| {
-            let mut cfg = match cap {
-                Some(c) => {
-                    let mut cfg = ScenarioConfig::interfered(2 * 1024 * 1024);
-                    cfg.vms[1] = cfg.vms[1].clone().with_cap(c);
-                    cfg.label = format!("fig4-cap{c}");
-                    cfg
-                }
-                None => ScenarioConfig::base_case(64 * 1024),
-            };
-            cfg.duration = scale.duration;
-            cfg.warmup = scale.warmup;
-            scale.stamp_faults(&mut cfg);
-            scale.stamp_adversary(&mut cfg);
-            let run = run_scenario(cfg);
+        .into_iter()
+        .zip(runs)
+        .map(|(cap, (run, _))| {
             let (p, c, w, t) = components(&run, "64KB");
             Fig4Row {
                 cap_pct: cap,

@@ -6,7 +6,6 @@
 
 use crate::experiments::{mean_std, Scale, Series};
 use crate::scenario::{PolicyKind, ScenarioConfig};
-use crate::world::run_scenario;
 use resex_simcore::time::SimDuration;
 use serde::Serialize;
 
@@ -27,31 +26,17 @@ pub struct Fig5Result {
 
 /// Runs base, interfered, and FreeMarket timeline.
 pub fn run(scale: &Scale) -> Fig5Result {
-    let mk = |mut cfg: ScenarioConfig, timeline: bool| {
-        cfg.duration = if timeline {
-            scale.timeline
-        } else {
-            scale.duration
-        };
-        cfg.warmup = scale.warmup;
-        scale.stamp_faults(&mut cfg);
-        scale.stamp_adversary(&mut cfg);
-        cfg
-    };
-    let ((base, intf), fm) = rayon::join(
-        || {
-            rayon::join(
-                || run_scenario(mk(ScenarioConfig::base_case(64 * 1024), false)),
-                || run_scenario(mk(ScenarioConfig::interfered(2 * 1024 * 1024), false)),
-            )
-        },
-        || {
-            run_scenario(mk(
+    let [(base, _), (intf, _), (fm, _)]: [_; 3] = scale
+        .run([
+            (scale.duration, ScenarioConfig::base_case(64 * 1024)),
+            (scale.duration, ScenarioConfig::interfered(2 * 1024 * 1024)),
+            (
+                scale.timeline,
                 ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::FreeMarket),
-                true,
-            ))
-        },
-    );
+            ),
+        ])
+        .try_into()
+        .expect("one run per case");
     let window = SimDuration::from_millis(50);
     Fig5Result {
         base_us: mean_std(&base, "64KB").0,

@@ -7,7 +7,6 @@
 
 use crate::experiments::{Scale, Series};
 use crate::scenario::{PolicyKind, ScenarioConfig};
-use crate::world::run_scenario;
 use resex_simcore::time::SimDuration;
 use serde::Serialize;
 
@@ -34,12 +33,8 @@ pub struct Fig6Result {
 /// on the pool; under `repro all` it instead runs concurrently with the
 /// other figure targets.
 pub fn run(scale: &Scale) -> Fig6Result {
-    let mut cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::FreeMarket);
-    cfg.duration = scale.timeline;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
-    let run = run_scenario(cfg);
+    let cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::FreeMarket);
+    let (run, _) = scale.run([(scale.timeline, cfg)]).remove(0);
     let w = SimDuration::from_millis(10);
     let vm64 = run.vm("64KB").unwrap();
     let vm2m = run.vm("2MB").unwrap();

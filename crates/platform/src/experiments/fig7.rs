@@ -7,7 +7,6 @@
 
 use crate::experiments::{mean_std, Scale, Series};
 use crate::scenario::{PolicyKind, ScenarioConfig};
-use crate::world::run_scenario;
 use resex_simcore::time::SimDuration;
 use serde::Serialize;
 
@@ -30,31 +29,17 @@ pub struct Fig7Result {
 
 /// Runs base, interfered, and the IOShares timeline.
 pub fn run(scale: &Scale) -> Fig7Result {
-    let mk = |mut cfg: ScenarioConfig, timeline: bool| {
-        cfg.duration = if timeline {
-            scale.timeline
-        } else {
-            scale.duration
-        };
-        cfg.warmup = scale.warmup;
-        scale.stamp_faults(&mut cfg);
-        scale.stamp_adversary(&mut cfg);
-        cfg
-    };
-    let ((base, intf), ios) = rayon::join(
-        || {
-            rayon::join(
-                || run_scenario(mk(ScenarioConfig::base_case(64 * 1024), false)),
-                || run_scenario(mk(ScenarioConfig::interfered(2 * 1024 * 1024), false)),
-            )
-        },
-        || {
-            run_scenario(mk(
+    let [(base, _), (intf, _), (ios, _)]: [_; 3] = scale
+        .run([
+            (scale.duration, ScenarioConfig::base_case(64 * 1024)),
+            (scale.duration, ScenarioConfig::interfered(2 * 1024 * 1024)),
+            (
+                scale.timeline,
                 ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::IoShares),
-                true,
-            ))
-        },
-    );
+            ),
+        ])
+        .try_into()
+        .expect("one run per case");
     let window = SimDuration::from_millis(50);
     let base_us = mean_std(&base, "64KB").0;
     let interfered_us = mean_std(&intf, "64KB").0;

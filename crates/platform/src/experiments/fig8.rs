@@ -9,8 +9,6 @@
 
 use crate::experiments::{mean_std, Scale};
 use crate::scenario::{PolicyKind, ScenarioConfig, VmSpec};
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use resex_benchex::ClientMode;
 use resex_simcore::time::SimDuration;
 use serde::Serialize;
@@ -41,64 +39,55 @@ fn slow_2mb_vm() -> VmSpec {
     })
 }
 
-fn twin_64kb(policy: PolicyKind, scale: &Scale, label: &str) -> ScenarioConfig {
+fn twin_64kb(policy: PolicyKind, label: &str) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::interfered(64 * 1024);
     // Disambiguate the twin from the reporting VM.
     cfg.vms[1].name = "64KB-b".into();
     cfg.label = label.to_string();
     cfg.policy = policy;
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
     cfg
 }
 
-fn no_intf(policy: PolicyKind, scale: &Scale, label: &str) -> ScenarioConfig {
+fn no_intf(policy: PolicyKind, label: &str) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::interfered(2 * 1024 * 1024);
     cfg.vms[1] = slow_2mb_vm();
     cfg.label = label.to_string();
     cfg.policy = policy;
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
     cfg
 }
 
 /// Runs the base case plus the four non-interference configurations.
 pub fn run(scale: &Scale) -> Fig8Result {
-    let mut base = ScenarioConfig::base_case(64 * 1024);
-    base.duration = scale.duration;
-    base.warmup = scale.warmup;
-    scale.stamp_faults(&mut base);
-    scale.stamp_adversary(&mut base);
-    let cases: Vec<(String, ScenarioConfig)> = vec![
-        ("Base-64KB".into(), base),
+    let cases = [
+        ("Base-64KB", ScenarioConfig::base_case(64 * 1024)),
         (
-            "FM-64KB-64KB".into(),
-            twin_64kb(PolicyKind::FreeMarket, scale, "fig8-fm-twin"),
+            "FM-64KB-64KB",
+            twin_64kb(PolicyKind::FreeMarket, "fig8-fm-twin"),
         ),
         (
-            "IOS-64KB-64KB".into(),
-            twin_64kb(PolicyKind::IoShares, scale, "fig8-ios-twin"),
+            "IOS-64KB-64KB",
+            twin_64kb(PolicyKind::IoShares, "fig8-ios-twin"),
         ),
         (
-            "FM-64KB-2MB-NoIntf".into(),
-            no_intf(PolicyKind::FreeMarket, scale, "fig8-fm-nointf"),
+            "FM-64KB-2MB-NoIntf",
+            no_intf(PolicyKind::FreeMarket, "fig8-fm-nointf"),
         ),
         (
-            "IOS-64KB-2MB-NoIntf".into(),
-            no_intf(PolicyKind::IoShares, scale, "fig8-ios-nointf"),
+            "IOS-64KB-2MB-NoIntf",
+            no_intf(PolicyKind::IoShares, "fig8-ios-nointf"),
         ),
     ];
-    let rows = cases
-        .into_par_iter()
-        .map(|(config, cfg)| {
-            let run = run_scenario(cfg);
+    let (configs, cfgs): (Vec<_>, Vec<_>) = cases
+        .into_iter()
+        .map(|(config, cfg)| (config, (scale.duration, cfg)))
+        .unzip();
+    let rows = configs
+        .into_iter()
+        .zip(scale.run(cfgs))
+        .map(|(config, (run, _))| {
             let (mean, std) = mean_std(&run, "64KB");
             Fig8Row {
-                config,
+                config: config.into(),
                 total_us: mean,
                 std_us: std,
             }

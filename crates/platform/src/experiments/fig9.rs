@@ -6,10 +6,8 @@
 //! latency since it does not have access to that information."
 
 use crate::experiments::{mean_std, p99_us, slo_violation_pct, Scale};
-use crate::metrics::{AdversaryTotals, CrashTotals, RecoveryTotals};
+use crate::metrics::{AdversaryTotals, CrashTotals, RecoveryTotals, RunMetrics};
 use crate::scenario::{fmt_size, PolicyKind, ScenarioConfig};
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// One x-axis group.
@@ -75,75 +73,55 @@ impl Serialize for Fig9Result {
     }
 }
 
-/// Runs the policy comparison across buffer sizes (in parallel).
+/// Runs the policy comparison across buffer sizes.
 pub fn run(scale: &Scale) -> Fig9Result {
-    let buffers: Vec<u32> = vec![64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024];
-    let mut base_cfg = ScenarioConfig::base_case(64 * 1024);
-    base_cfg.duration = scale.duration;
-    base_cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut base_cfg);
-    scale.stamp_adversary(&mut base_cfg);
-    let base = run_scenario(base_cfg);
-    let base_us = mean_std(&base, "64KB").0;
-    let base_p99 = p99_us(&base, "64KB");
+    let buffers = [64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024];
+    let mut cases = vec![ScenarioConfig::base_case(64 * 1024)];
+    for buf in buffers {
+        cases.push(ScenarioConfig::interfered(buf));
+        cases.push(ScenarioConfig::managed(buf, PolicyKind::FreeMarket));
+        cases.push(ScenarioConfig::managed(buf, PolicyKind::IoShares));
+    }
+    let runs: Vec<RunMetrics> = scale
+        .run(cases.into_iter().map(|cfg| (scale.duration, cfg)))
+        .into_iter()
+        .map(|(run, _)| run)
+        .collect();
+    let (base, rest) = runs.split_first().expect("base case");
+    let base_us = mean_std(base, "64KB").0;
+    let base_p99 = p99_us(base, "64KB");
     let mut recovery = base.recovery_totals();
     let mut adversary = base.adversary;
     let mut crashes = base.crashes;
-
-    let rows_and_totals: Vec<(Fig9Row, RecoveryTotals, AdversaryTotals, CrashTotals)> = buffers
-        .into_par_iter()
-        .map(|buf| {
-            let mk = |policy: PolicyKind| {
-                let mut cfg = match policy {
-                    PolicyKind::None => ScenarioConfig::interfered(buf),
-                    p => ScenarioConfig::managed(buf, p),
-                };
-                cfg.duration = scale.duration;
-                cfg.warmup = scale.warmup;
-                scale.stamp_faults(&mut cfg);
-                scale.stamp_adversary(&mut cfg);
-                cfg
-            };
-            let (intf, (fm, ios)) = rayon::join(
-                || run_scenario(mk(PolicyKind::None)),
-                || {
-                    rayon::join(
-                        || run_scenario(mk(PolicyKind::FreeMarket)),
-                        || run_scenario(mk(PolicyKind::IoShares)),
-                    )
-                },
-            );
-            let mut totals = intf.recovery_totals();
-            totals.merge(fm.recovery_totals());
-            totals.merge(ios.recovery_totals());
-            let mut adv = intf.adversary;
-            adv.merge(fm.adversary);
-            adv.merge(ios.adversary);
-            let mut crash = intf.crashes;
-            crash.merge(fm.crashes);
-            crash.merge(ios.crashes);
-            let row = Fig9Row {
-                buffer: fmt_size(buf),
-                base_us,
-                interfered_us: mean_std(&intf, "64KB").0,
-                freemarket_us: mean_std(&fm, "64KB").0,
-                ioshares_us: mean_std(&ios, "64KB").0,
-                base_p99_us: base_p99,
-                interfered_p99_us: p99_us(&intf, "64KB"),
-                freemarket_p99_us: p99_us(&fm, "64KB"),
-                ioshares_p99_us: p99_us(&ios, "64KB"),
-                freemarket_slo_pct: slo_violation_pct(&fm, "64KB"),
-                ioshares_slo_pct: slo_violation_pct(&ios, "64KB"),
-            };
-            (row, totals, adv, crash)
-        })
-        .collect();
-    let mut rows = Vec::with_capacity(rows_and_totals.len());
-    for (row, totals, adv, crash) in rows_and_totals {
-        rows.push(row);
-        recovery.merge(totals);
+    let mut rows = Vec::with_capacity(buffers.len());
+    for (buf, trio) in buffers.into_iter().zip(rest.chunks(3)) {
+        let [intf, fm, ios] = trio else {
+            unreachable!("three policies per buffer")
+        };
+        // Sum each row before adding it to the total: the adversary
+        // tallies are floating point, so the grouping is part of the
+        // output (and of the committed baselines).
+        let mut adv = intf.adversary;
+        adv.merge(fm.adversary);
+        adv.merge(ios.adversary);
         adversary.merge(adv);
-        crashes.merge(crash);
+        for run in trio {
+            recovery.merge(run.recovery_totals());
+            crashes.merge(run.crashes);
+        }
+        rows.push(Fig9Row {
+            buffer: fmt_size(buf),
+            base_us,
+            interfered_us: mean_std(intf, "64KB").0,
+            freemarket_us: mean_std(fm, "64KB").0,
+            ioshares_us: mean_std(ios, "64KB").0,
+            base_p99_us: base_p99,
+            interfered_p99_us: p99_us(intf, "64KB"),
+            freemarket_p99_us: p99_us(fm, "64KB"),
+            ioshares_p99_us: p99_us(ios, "64KB"),
+            freemarket_slo_pct: slo_violation_pct(fm, "64KB"),
+            ioshares_slo_pct: slo_violation_pct(ios, "64KB"),
+        });
     }
     Fig9Result {
         rows,

@@ -20,8 +20,6 @@
 
 use crate::experiments::{mean_std, Scale};
 use crate::scenario::{PolicyKind, QosSpec, ScenarioConfig};
-use crate::world::run_scenario;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// One strategy's outcome.
@@ -48,67 +46,47 @@ pub struct HwQosResult {
 
 /// Runs base, unmanaged, both hardware levers, and IOShares.
 pub fn run(scale: &Scale) -> HwQosResult {
-    let shorten = |mut cfg: ScenarioConfig| {
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        scale.stamp_faults(&mut cfg);
-        scale.stamp_adversary(&mut cfg);
-        cfg
+    let intf = || ScenarioConfig::interfered(2 * 1024 * 1024);
+    let qos = |priority, rate_limit| QosSpec {
+        priority,
+        weight: 1,
+        rate_limit,
     };
-    let mut base = ScenarioConfig::base_case(64 * 1024);
-    base.duration = scale.duration;
-    base.warmup = scale.warmup;
-    scale.stamp_faults(&mut base);
-    scale.stamp_adversary(&mut base);
-    let base_us = mean_std(&run_scenario(base), "64KB").0;
+    let mut priority = intf();
+    // Reporter at a strictly higher service level.
+    priority.vms[0] = priority.vms[0].clone().with_qos(qos(0, None));
+    priority.vms[1] = priority.vms[1].clone().with_qos(qos(1, None));
+    priority.label = "hw-priority".into();
+    let mut ratelimit = intf();
+    // Shape the interferer to half the link (its fair share).
+    ratelimit.vms[1] = ratelimit.vms[1]
+        .clone()
+        .with_qos(qos(0, Some(512 * 1024 * 1024)));
+    ratelimit.label = "hw-ratelimit".into();
 
-    let cases: Vec<(String, ScenarioConfig)> = vec![
+    let cases = [
+        ("base", ScenarioConfig::base_case(64 * 1024)),
+        ("unmanaged", intf()),
         (
-            "unmanaged".into(),
-            shorten(ScenarioConfig::interfered(2 * 1024 * 1024)),
+            "resex-ioshares",
+            ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::IoShares),
         ),
-        ("resex-ioshares".into(), {
-            shorten(ScenarioConfig::managed(
-                2 * 1024 * 1024,
-                PolicyKind::IoShares,
-            ))
-        }),
-        ("hw-priority".into(), {
-            let mut cfg = shorten(ScenarioConfig::interfered(2 * 1024 * 1024));
-            // Reporter at a strictly higher service level.
-            cfg.vms[0] = cfg.vms[0].clone().with_qos(QosSpec {
-                priority: 0,
-                weight: 1,
-                rate_limit: None,
-            });
-            cfg.vms[1] = cfg.vms[1].clone().with_qos(QosSpec {
-                priority: 1,
-                weight: 1,
-                rate_limit: None,
-            });
-            cfg.label = "hw-priority".into();
-            cfg
-        }),
-        ("hw-ratelimit".into(), {
-            let mut cfg = shorten(ScenarioConfig::interfered(2 * 1024 * 1024));
-            // Shape the interferer to half the link (its fair share).
-            cfg.vms[1] = cfg.vms[1].clone().with_qos(QosSpec {
-                priority: 0,
-                weight: 1,
-                rate_limit: Some(512 * 1024 * 1024),
-            });
-            cfg.label = "hw-ratelimit".into();
-            cfg
-        }),
+        ("hw-priority", priority),
+        ("hw-ratelimit", ratelimit),
     ];
-
-    let rows = cases
-        .into_par_iter()
-        .map(|(strategy, cfg)| {
-            let run = run_scenario(cfg);
+    let (strategies, cfgs): (Vec<_>, Vec<_>) = cases
+        .into_iter()
+        .map(|(strategy, cfg)| (strategy, (scale.duration, cfg)))
+        .unzip();
+    let mut runs = scale.run(cfgs).into_iter().map(|(run, _)| run);
+    let base_us = mean_std(&runs.next().expect("base case"), "64KB").0;
+    let rows = strategies[1..]
+        .iter()
+        .zip(runs)
+        .map(|(strategy, run)| {
             let (mean, std) = mean_std(&run, "64KB");
             HwQosRow {
-                strategy,
+                strategy: strategy.to_string(),
                 reporter_us: mean,
                 reporter_std_us: std,
                 interferer_served: run.vm("2MB").map(|v| v.served).unwrap_or(0),

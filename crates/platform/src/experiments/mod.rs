@@ -5,6 +5,13 @@
 //! whose rows/series mirror the figure's axes. The `repro` binary in
 //! `resex-bench` drives them.
 //!
+//! Every figure has one run path: it lists its scenario variants, hands
+//! them to [`Scale::run`], and summarizes the results. `Scale::run` is the
+//! only place that stamps a scenario with the span, warmup, fault rates
+//! and adversary spec, and the only place that fans scenarios out on the
+//! pool. (The `rack` target is the exception: it drives its own sharded
+//! runner.)
+//!
 //! | module | paper figure | shows |
 //! |---|---|---|
 //! | [`fig1`] | Figure 1 | latency histogram, normal vs interfered server |
@@ -37,6 +44,8 @@ pub mod scaling;
 
 use crate::metrics::RunMetrics;
 use crate::scenario::ScenarioConfig;
+use crate::world::{run_scenario_observed, ObservedRun};
+use rayon::prelude::*;
 use resex_adversary::AdversarySpec;
 use resex_faults::{FaultSchedule, FaultSpec};
 use resex_simcore::time::SimDuration;
@@ -89,23 +98,33 @@ impl Scale {
         }
     }
 
-    /// Stamps this scale's fault rates onto a scenario. Called by every
-    /// experiment module on each scenario it builds, so a `--faults` spec
-    /// reaches all runs of a figure uniformly.
-    pub fn stamp_faults(&self, cfg: &mut ScenarioConfig) {
-        if self.faults.enabled() {
-            cfg.faults = FaultSchedule::from(self.faults);
-        }
-    }
-
-    /// Stamps this scale's adversary spec onto a scenario, mirroring
-    /// [`Scale::stamp_faults`]. Scenarios the spec cannot apply to (e.g.
-    /// the single-VM base case, which serves as the attacker-free
-    /// reference) are silently left clean.
-    pub fn stamp_adversary(&self, cfg: &mut ScenarioConfig) {
-        if self.adversary.enabled() && self.adversary.validate_for(cfg.vms.len()).is_ok() {
-            cfg.adversary = self.adversary.clone();
-        }
+    /// Runs a figure's scenarios on the pool and returns their results in
+    /// input order. Each case pairs a span (`self.duration` for steady
+    /// comparisons, `self.timeline` for the timeline runs of Figures 5–7)
+    /// with a scenario carrying the figure's per-case edits. Only then is
+    /// the scenario stamped: the span, this scale's warmup, its fault
+    /// rates, and its adversary spec. A scenario the spec cannot apply to
+    /// (e.g. the single-VM base case, which serves as the attacker-free
+    /// reference) is left clean.
+    pub fn run(
+        &self,
+        cases: impl IntoIterator<Item = (SimDuration, ScenarioConfig)>,
+    ) -> Vec<(RunMetrics, ObservedRun)> {
+        let cases: Vec<_> = cases.into_iter().collect();
+        cases
+            .into_par_iter()
+            .map(|(span, mut cfg)| {
+                cfg.duration = span;
+                cfg.warmup = self.warmup;
+                if self.faults.enabled() {
+                    cfg.faults = FaultSchedule::from(self.faults);
+                }
+                if self.adversary.enabled() && self.adversary.validate_for(cfg.vms.len()).is_ok() {
+                    cfg.adversary = self.adversary.clone();
+                }
+                run_scenario_observed(cfg)
+            })
+            .collect()
     }
 }
 
@@ -208,11 +227,46 @@ pub fn sparkline(points: &[(f64, f64)], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::AdversaryTotals;
+    use crate::scenario::VmSpec;
 
     #[test]
     fn scales_are_ordered() {
         assert!(Scale::quick().duration < Scale::full().duration);
         assert!(Scale::quick().warmup < Scale::quick().duration);
+    }
+
+    #[test]
+    fn run_keeps_input_order_and_stamps_after_per_case_edits() {
+        let mut scale = Scale::quick();
+        scale.duration = SimDuration::from_millis(100);
+        scale.timeline = SimDuration::from_millis(150);
+        scale.warmup = SimDuration::from_millis(20);
+        scale.adversary = AdversarySpec::parse("class=burst,seed=3").unwrap();
+        // The base case grown to fit the spec's attacker (VM 1).
+        let mut grown = ScenarioConfig::base_case(64 * 1024);
+        grown.label = "grown".into();
+        grown.vms.push(VmSpec::server("2MB", 2 * 1024 * 1024));
+        let runs: Vec<RunMetrics> = scale
+            .run([
+                (scale.timeline, grown),
+                (scale.duration, ScenarioConfig::interfered(128 * 1024)),
+                (scale.duration, ScenarioConfig::base_case(64 * 1024)),
+            ])
+            .into_iter()
+            .map(|(run, _)| run)
+            .collect();
+        let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["grown", "interfered-128KB", "base-64KB"]);
+        let spans: Vec<SimDuration> = runs.iter().map(|r| r.duration).collect();
+        assert_eq!(spans, [scale.timeline, scale.duration, scale.duration]);
+        assert!(runs.iter().all(|r| r.warmup == scale.warmup));
+        assert!(runs[0].adversary.bursts > 0, "the grown case is attacked");
+        assert_eq!(
+            runs[2].adversary,
+            AdversaryTotals::default(),
+            "the base case stays attacker-free"
+        );
     }
 
     #[test]

@@ -9,9 +9,7 @@
 
 use crate::experiments::{mean_std, Scale};
 use crate::scenario::{PolicyKind, ScenarioConfig, VmSpec};
-use crate::world::run_scenario;
-use crate::BASE_LATENCY_US;
-use rayon::prelude::*;
+use crate::{RunMetrics, BASE_LATENCY_US};
 use serde::Serialize;
 
 /// One scaling point.
@@ -36,7 +34,7 @@ pub struct ScalingResult {
     pub rows: Vec<ScalingRow>,
 }
 
-fn scenario(n: u32, policy: PolicyKind, scale: &Scale) -> ScenarioConfig {
+fn scenario(n: u32, policy: PolicyKind) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::base_case(64 * 1024);
     cfg.label = format!("scaling-{n}-{:?}", policy);
     cfg.policy = policy;
@@ -44,14 +42,10 @@ fn scenario(n: u32, policy: PolicyKind, scale: &Scale) -> ScenarioConfig {
         .map(|i| VmSpec::server(format!("64KB-{i}"), 64 * 1024).with_sla(BASE_LATENCY_US, 2.0))
         .collect();
     cfg.vms.push(VmSpec::server("2MB", 2 * 1024 * 1024));
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    scale.stamp_faults(&mut cfg);
-    scale.stamp_adversary(&mut cfg);
     cfg
 }
 
-fn reporter_stats(run: &crate::RunMetrics, n: u32) -> (f64, f64) {
+fn reporter_stats(run: &RunMetrics, n: u32) -> (f64, f64) {
     let mut sum = 0.0;
     let mut worst: f64 = 0.0;
     for i in 0..n {
@@ -62,17 +56,25 @@ fn reporter_stats(run: &crate::RunMetrics, n: u32) -> (f64, f64) {
     (sum / n as f64, worst)
 }
 
-/// Runs the sweep (in parallel).
+/// Runs the sweep.
 pub fn run(scale: &Scale) -> ScalingResult {
-    let rows = [1u32, 2, 4, 6]
-        .into_par_iter()
-        .map(|n| {
-            let (unmanaged, managed) = rayon::join(
-                || run_scenario(scenario(n, PolicyKind::None, scale)),
-                || run_scenario(scenario(n, PolicyKind::IoShares, scale)),
-            );
-            let (u_mean, _) = reporter_stats(&unmanaged, n);
-            let (m_mean, m_worst) = reporter_stats(&managed, n);
+    let counts = [1u32, 2, 4, 6];
+    let runs: Vec<RunMetrics> = scale
+        .run(counts.iter().flat_map(|&n| {
+            [PolicyKind::None, PolicyKind::IoShares].map(|p| (scale.duration, scenario(n, p)))
+        }))
+        .into_iter()
+        .map(|(run, _)| run)
+        .collect();
+    let rows = counts
+        .into_iter()
+        .zip(runs.chunks(2))
+        .map(|(n, pair)| {
+            let [unmanaged, managed] = pair else {
+                unreachable!("two policies per count")
+            };
+            let (u_mean, _) = reporter_stats(unmanaged, n);
+            let (m_mean, m_worst) = reporter_stats(managed, n);
             ScalingRow {
                 reporters: n,
                 unmanaged_us: u_mean,

@@ -2,7 +2,7 @@
 //! lookahead between them.
 //!
 //! Every host in the rack is a full [`World`] — the same audited
-//! monolithic loop the single-pair figures run — placed somewhere in a
+//! event loop the single-pair figures run — placed somewhere in a
 //! [`RackTopology`] so its fabric latency reflects the routed path to
 //! its client (two hops inside a ToR, four across the spine). Hosts do
 //! not exchange sub-window messages: the only cross-host coupling is

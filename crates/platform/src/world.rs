@@ -632,30 +632,24 @@ impl World {
     /// switches off this is exactly [`World::run`] plus an empty
     /// [`ObservedRun`].
     ///
-    /// `RESEX_SHARDED=1` routes the run through the windowed conservative
-    /// driver ([`World::run_observed_windowed`]) with the topology's
-    /// one-way latency as the lookahead — the switch CI flips to prove
-    /// windowed and monolithic execution stay byte-identical.
-    pub fn run_observed(mut self) -> (RunMetrics, ObservedRun) {
-        if sharded_env() {
-            let quantum = self.cfg.topology.one_way_latency(&self.cfg.fabric);
-            return self.run_observed_windowed(quantum);
-        }
-        self.start();
-        let end = SimTime::ZERO + self.cfg.duration;
-        let ended = self.step_until(end);
-        debug_assert!(ended, "the End event is scheduled at the horizon");
-        self.finish()
+    /// This is [`World::run_observed_windowed`] with an unbounded quantum:
+    /// the first window's horizon saturates at [`SimTime::MAX`], so the
+    /// whole run is one `step_until` that pops events in the same order.
+    pub fn run_observed(self) -> (RunMetrics, ObservedRun) {
+        self.run_observed_windowed(SimDuration::MAX)
     }
 
     /// Runs the scenario through the windowed conservative driver: repeat
-    /// "advance to the next event plus `quantum`" until `End` fires.
+    /// "advance to the next event plus `quantum`" until `End` fires. This
+    /// is the single-world run loop; the sharded rack runner drives the
+    /// same `start` / `step_until` / `finish` steps from its own barrier
+    /// loop.
     ///
     /// Stopping a calendar at a horizon is state-neutral — resuming pops
-    /// the same events in the same order — so for *any* quantum this is
-    /// byte-identical to [`World::run_observed`]. It exists so the
-    /// sharded rack runner's per-host building block is exactly the
-    /// audited monolithic loop, windowed.
+    /// the same events in the same order — so every quantum gives
+    /// byte-identical results. `tests/rack_claims.rs` holds that contract
+    /// for a sweep of quanta and for every fig9 scenario at the link's
+    /// one-way latency.
     pub fn run_observed_windowed(mut self, quantum: SimDuration) -> (RunMetrics, ObservedRun) {
         self.start();
         while let Some(next) = self.next_event_time() {
@@ -722,11 +716,11 @@ impl World {
     }
 
     /// Processes every queued event with timestamp `≤ horizon`, in
-    /// exactly the order the monolithic loop would, and returns true once
-    /// the `End` event has fired. A horizon is state-neutral: resuming
-    /// with a later one pops the same events in the same order, so any
-    /// windowed drive of this method is byte-identical to one big
-    /// `step_until` over the whole run.
+    /// timestamp order (FIFO among ties), and returns true once the `End`
+    /// event has fired. A horizon is state-neutral: resuming with a later
+    /// one pops the same events in the same order, so any windowed drive
+    /// of this method is byte-identical to one big `step_until` over the
+    /// whole run.
     pub(crate) fn step_until(&mut self, horizon: SimTime) -> bool {
         if self.done {
             return true;
@@ -2178,15 +2172,6 @@ fn fabric_ev_name(ev: &FabricEvent) -> &'static str {
 /// ```
 pub fn run_scenario(cfg: ScenarioConfig) -> RunMetrics {
     World::build(cfg).run()
-}
-
-/// True when `RESEX_SHARDED` asks ordinary scenario runs to go through
-/// the windowed conservative driver (`""`/`"0"`/`"off"`/unset = the
-/// monolithic loop). CI flips this to prove the two are byte-identical.
-fn sharded_env() -> bool {
-    std::env::var("RESEX_SHARDED")
-        .map(|v| !matches!(v.as_str(), "" | "0" | "off"))
-        .unwrap_or(false)
 }
 
 /// Builds and runs with observability output, honouring `cfg.obs`.

@@ -213,8 +213,8 @@ fn fixed_seed_attacks_replay_byte_identically() {
 
 /// Byte-identity contract: a disabled adversary spec (class off, or zero
 /// intensity) installs nothing — the run is indistinguishable from one
-/// on a build that predates the plane, and `Scale::stamp_adversary`
-/// leaves inapplicable scenarios untouched.
+/// on a build that predates the plane, and `Scale::run` leaves
+/// scenarios the spec cannot apply to untouched.
 #[test]
 fn adversary_off_runs_are_byte_identical_to_clean_baselines() {
     let clean = run_scenario(scenario(BUF_LATENCY, PolicyKind::IoShares, None, false));
@@ -235,11 +235,25 @@ fn adversary_off_runs_are_byte_identical_to_clean_baselines() {
     assert_eq!(clean.adversary, resex_platform::AdversaryTotals::default());
 
     // A spec that cannot apply to a scenario (single-VM base case: VM 1
-    // does not exist) is silently skipped by the experiment stamp.
+    // does not exist) is silently skipped by the experiments' run path.
     use resex_platform::experiments::Scale;
     let mut scale = Scale::quick();
+    scale.duration = SimDuration::from_millis(300);
+    scale.warmup = SimDuration::from_millis(50);
     scale.adversary = AdversarySpec::parse("class=burst").unwrap();
-    let mut base = ScenarioConfig::base_case(64 * 1024);
-    scale.stamp_adversary(&mut base);
-    assert!(!base.adversary.enabled(), "base case stays attacker-free");
+    let (attacked, _) = scale
+        .run([(scale.duration, ScenarioConfig::base_case(64 * 1024))])
+        .remove(0);
+    let mut clean = ScenarioConfig::base_case(64 * 1024);
+    clean.duration = scale.duration;
+    clean.warmup = scale.warmup;
+    assert_eq!(
+        fingerprint(&attacked),
+        fingerprint(&run_scenario(clean)),
+        "base case stays attacker-free"
+    );
+    assert_eq!(
+        attacked.adversary,
+        resex_platform::AdversaryTotals::default()
+    );
 }

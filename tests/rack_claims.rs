@@ -1,11 +1,11 @@
 //! The sharded calendar's hard contract, tested at the library level:
 //! advancing a world in conservative-lookahead windows is *state-neutral*
-//! — no window quantum, and no `RESEX_SHARDED` env flag, may change a
-//! byte of the results. Plus the rack runner's own claims: reproducible
-//! JSON, conserved event accounting, and a real topology signal
-//! (cross-ToR pairs slower than intra-ToR pairs).
+//! — no window quantum may change a byte of the results, on a probe
+//! scenario or on any scenario fig9 runs. Plus the rack runner's own
+//! claims: reproducible JSON, conserved event accounting, and a real
+//! topology signal (cross-ToR pairs slower than intra-ToR pairs).
 
-use resex_platform::experiments::{fig9, rack, Scale};
+use resex_platform::experiments::{rack, Scale};
 use resex_platform::{PolicyKind, ScenarioConfig, World};
 use resex_simcore::time::SimDuration;
 
@@ -48,29 +48,27 @@ fn windowed_calendar_is_state_neutral_for_any_quantum() {
     }
 }
 
-/// `RESEX_SHARDED=1` must be invisible in the figure data, end to end
-/// through a real sweep. Env mutation stays inside this single test (the
-/// other tests in this binary never read the flag mid-run because this
-/// one holds it only around its own sweeps).
+/// Windowing at the rack's lookahead (the link's one-way latency) is
+/// invisible on every scenario of the fig9 sweep: the base case, plus
+/// unmanaged, FreeMarket and IOShares at each interferer buffer size.
 #[test]
-fn sharded_env_flag_never_changes_fig9() {
-    let scale = Scale {
-        duration: SimDuration::from_millis(300),
-        timeline: SimDuration::from_millis(600),
-        warmup: SimDuration::from_millis(50),
-        faults: resex_faults::FaultSpec::default(),
-        adversary: resex_adversary::AdversarySpec::default(),
-        rack_hosts: 8,
-    };
-    std::env::remove_var("RESEX_SHARDED");
-    let monolithic = serde_json::to_string(&fig9::run(&scale)).expect("serialize");
-    std::env::set_var("RESEX_SHARDED", "1");
-    let sharded = serde_json::to_string(&fig9::run(&scale)).expect("serialize");
-    std::env::remove_var("RESEX_SHARDED");
-    assert_eq!(
-        monolithic, sharded,
-        "RESEX_SHARDED changed fig9 — the windowed calendar is not state-neutral"
-    );
+fn windowed_drive_matches_run_observed_on_every_fig9_scenario() {
+    let mut cases = vec![ScenarioConfig::base_case(64 * 1024)];
+    for buf in [64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024] {
+        cases.push(ScenarioConfig::interfered(buf));
+        cases.push(ScenarioConfig::managed(buf, PolicyKind::FreeMarket));
+        cases.push(ScenarioConfig::managed(buf, PolicyKind::IoShares));
+    }
+    for mut cfg in cases {
+        cfg.duration = SimDuration::from_millis(300);
+        cfg.warmup = SimDuration::from_millis(50);
+        cfg.obs.metrics = true;
+        let quantum = cfg.topology.one_way_latency(&cfg.fabric);
+        let label = cfg.label.clone();
+        let whole = fingerprint(World::build(cfg.clone()).run_observed());
+        let windowed = fingerprint(World::build(cfg).run_observed_windowed(quantum));
+        assert_eq!(whole, windowed, "{label}: windowing changed the run");
+    }
 }
 
 #[test]
