@@ -7,18 +7,18 @@
 //! test process and its JSON cached, so the three assertions below cost
 //! three subprocess runs total.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::{Mutex, OnceLock};
 
-type JsonCache = Mutex<HashMap<(String, u32), Vec<u8>>>;
+type JsonCache = Mutex<BTreeMap<(String, u32), Vec<u8>>>;
 
 /// Runs `repro fig9 --quick --json` with the given `RESEX_THREADS` value
 /// (`run` disambiguates repeated runs of the same width) and returns the
 /// JSON bytes.
 fn fig9_json(threads: &str, run: u32) -> Vec<u8> {
     static CACHE: OnceLock<JsonCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     if let Some(bytes) = cache.lock().unwrap().get(&(threads.to_string(), run)) {
         return bytes.clone();
     }

@@ -88,8 +88,13 @@ impl LatencyWindow {
         }
     }
 
-    /// Adds a record, evicting the oldest when full.
+    /// Adds a record, evicting the oldest when full. Records arrive in
+    /// completion order, so `at` never decreases.
     pub fn push(&mut self, r: LatencyRecord) {
+        debug_assert!(
+            self.records.back().is_none_or(|b| b.at <= r.at),
+            "latency records must be pushed in time order"
+        );
         if self.records.len() == self.capacity {
             self.records.pop_front();
         }
@@ -106,9 +111,11 @@ impl LatencyWindow {
         self.records.is_empty()
     }
 
-    /// Records newer than `since`.
+    /// Records newer than `since`, oldest first. The window is time
+    /// ordered, so a binary search finds the first one.
     pub fn since(&self, since: SimTime) -> impl Iterator<Item = &LatencyRecord> {
-        self.records.iter().filter(move |r| r.at > since)
+        let first = self.records.partition_point(|r| r.at <= since);
+        self.records.range(first..)
     }
 
     /// Summary over the whole window.
@@ -176,5 +183,28 @@ mod tests {
             0,
             "strictly newer"
         );
+    }
+
+    #[test]
+    fn since_matches_a_full_filter() {
+        // Ties at the cut-off, a full window that has evicted, and cut-offs
+        // before, between, at and after every record.
+        let mut w = LatencyWindow::new(6);
+        for (i, at) in [0, 5, 10, 10, 20, 20, 20, 30].into_iter().enumerate() {
+            let mut r = rec(at, 1, 1, 1);
+            r.request_id = i as u64;
+            w.push(r);
+        }
+        for since_us in 0..=35 {
+            let since = SimTime::from_micros(since_us);
+            let got: Vec<u64> = w.since(since).map(|r| r.request_id).collect();
+            let want: Vec<u64> = w
+                .records
+                .iter()
+                .filter(|r| r.at > since)
+                .map(|r| r.request_id)
+                .collect();
+            assert_eq!(got, want, "since {since_us} µs");
+        }
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::config::DepletionMode;
 use crate::pricing::{IntervalCtx, PricingPolicy, VmId, VmVerdict};
-use std::collections::HashMap;
+use resex_simcore::ids::IdMap;
 
 /// Computes the throttled cap for a low-balance VM under the configured
 /// depletion mode. `fraction` is the remaining balance fraction (may be
@@ -38,19 +38,19 @@ pub(crate) fn depleted_cap(
 /// The FreeMarket policy.
 pub struct FreeMarket {
     /// Current cap per VM (100 = uncapped-equivalent starting point).
-    caps: HashMap<VmId, u32>,
+    caps: IdMap<VmId, u32>,
     /// VMs whose caps must be restored to 100 (fresh epoch), with the cap
     /// they were throttled to before the boundary — under the hard floor a
     /// still-depleted VM keeps that throttle instead of the restore.
-    restore: HashMap<VmId, u32>,
+    restore: IdMap<VmId, u32>,
 }
 
 impl FreeMarket {
     /// Creates the policy.
     pub fn new() -> Self {
         FreeMarket {
-            caps: HashMap::new(),
-            restore: HashMap::new(),
+            caps: IdMap::new(),
+            restore: IdMap::new(),
         }
     }
 
@@ -89,7 +89,7 @@ impl PricingPolicy for FreeMarket {
                     verdict.cap_pct = Some(100);
                 }
             }
-            let current = *self.caps.entry(vm).or_insert(100);
+            let current = *self.caps.get_or_insert_with(vm, || 100);
             if let Some(acct) = account {
                 let low = acct.fraction_remaining() < ctx.cfg.low_balance_fraction;
                 let epoch_left =
@@ -128,7 +128,7 @@ impl PricingPolicy for FreeMarket {
         // actuated at the next interval (caps only change via verdicts).
         for (vm, cap) in self.caps.iter_mut() {
             if *cap != 100 {
-                self.restore.insert(*vm, *cap);
+                self.restore.insert(vm, *cap);
             }
             *cap = 100;
         }

@@ -25,8 +25,8 @@
 //! the SLA's half-band).
 
 use crate::pricing::{IntervalCtx, PricingPolicy, VmId, VmVerdict};
+use resex_simcore::ids::IdMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-VM SLA declaration: the latency the VM expects when unperturbed.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -40,15 +40,15 @@ pub struct SlaTarget {
 
 /// The IOShares policy.
 pub struct IoShares {
-    slas: HashMap<VmId, SlaTarget>,
+    slas: IdMap<VmId, SlaTarget>,
     /// Accumulated charging rate per VM (base 1.0).
-    rates: HashMap<VmId, f64>,
+    rates: IdMap<VmId, f64>,
     /// Last actuated cap per VM, to avoid redundant SetCap actions.
-    caps: HashMap<VmId, u32>,
+    caps: IdMap<VmId, u32>,
     /// Smoothed per-VM MTU activity (group-clamp hardening only): an EWMA
     /// that remembers a burster's traffic through the intervals it sits
     /// out, so a colluding group alternating bursts cannot rotate blame.
-    activity: HashMap<VmId, f64>,
+    activity: IdMap<VmId, f64>,
 }
 
 /// Floor applied to the baseline std before computing percent increases.
@@ -75,9 +75,9 @@ impl IoShares {
     pub fn new(slas: impl IntoIterator<Item = (VmId, SlaTarget)>) -> Self {
         IoShares {
             slas: slas.into_iter().collect(),
-            rates: HashMap::new(),
-            caps: HashMap::new(),
-            activity: HashMap::new(),
+            rates: IdMap::new(),
+            caps: IdMap::new(),
+            activity: IdMap::new(),
         }
     }
 
@@ -170,13 +170,13 @@ impl PricingPolicy for IoShares {
         // smoothed per-VM activity before assigning blame.
         if ctx.cfg.group_clamp {
             for &(vm, snap) in ctx.vms {
-                let e = self.activity.entry(vm).or_insert(0.0);
+                let e = self.activity.get_or_insert_with(vm, || 0.0);
                 *e = ACTIVITY_ALPHA * snap.mtus as f64 + (1.0 - ACTIVITY_ALPHA) * *e;
             }
         }
         // Pass 1: every reporting VM may indict one interferer (or, under
         // the group clamp, the whole smoothed-activity peer group).
-        let mut indicted: HashMap<VmId, f64> = HashMap::new();
+        let mut indicted: IdMap<VmId, f64> = IdMap::new();
         let mut worst_intf_pct = 0.0f64;
         for &(vm, _snap) in ctx.vms {
             let intf_pct = self.interference_pct(vm, ctx);
@@ -196,7 +196,7 @@ impl PricingPolicy for IoShares {
                 for (culprit, act) in self.find_group(ctx) {
                     let io_share = act / total_activity;
                     let increase = io_share * intf_pct;
-                    let e = indicted.entry(culprit).or_insert(0.0);
+                    let e = indicted.get_or_insert_with(culprit, || 0.0);
                     *e = e.max(increase);
                 }
             } else if let Some((culprit, culprit_mtus)) = self.find_interferer(vm, ctx) {
@@ -205,7 +205,7 @@ impl PricingPolicy for IoShares {
                 }
                 let io_share = culprit_mtus as f64 / total_mtus as f64;
                 let increase = io_share * intf_pct;
-                let e = indicted.entry(culprit).or_insert(0.0);
+                let e = indicted.get_or_insert_with(culprit, || 0.0);
                 *e = e.max(increase);
             }
         }
@@ -231,7 +231,7 @@ impl PricingPolicy for IoShares {
         // the rest) and derive caps + this interval's charging rates.
         let mut out = Vec::with_capacity(ctx.vms.len());
         for &(vm, _snap) in ctx.vms {
-            let rate = self.rates.entry(vm).or_insert(1.0);
+            let rate = self.rates.get_or_insert_with(vm, || 1.0);
             match indicted.get(&vm) {
                 Some(increase) => *rate += increase,
                 None if may_decay => {

@@ -12,11 +12,11 @@
 
 use crate::freemarket::depleted_cap;
 use crate::pricing::{IntervalCtx, PricingPolicy, VmId, VmVerdict};
-use std::collections::HashMap;
+use resex_simcore::ids::IdMap;
 
 /// Fixed caps, applied once.
 pub struct StaticReserve {
-    caps: HashMap<VmId, u32>,
+    caps: IdMap<VmId, u32>,
     applied: bool,
 }
 
@@ -56,7 +56,7 @@ impl PricingPolicy for StaticReserve {
 pub struct BufferRatio {
     /// The latency-sensitive VM whose buffer is the denominator.
     reference: VmId,
-    caps: HashMap<VmId, u32>,
+    caps: IdMap<VmId, u32>,
 }
 
 impl BufferRatio {
@@ -64,7 +64,7 @@ impl BufferRatio {
     pub fn new(reference: VmId) -> Self {
         BufferRatio {
             reference,
-            caps: HashMap::new(),
+            caps: IdMap::new(),
         }
     }
 }
@@ -234,7 +234,7 @@ pub struct DemandPricing {
     price: f64,
     /// Link supply per epoch, in MTUs.
     supply: u64,
-    caps: HashMap<VmId, u32>,
+    caps: IdMap<VmId, u32>,
     restore: Vec<VmId>,
 }
 
@@ -247,7 +247,7 @@ impl DemandPricing {
             epoch_demand: 0,
             price: 1.0,
             supply: supply_mtus_per_epoch,
-            caps: HashMap::new(),
+            caps: IdMap::new(),
             restore: Vec::new(),
         }
     }
@@ -265,7 +265,7 @@ impl PricingPolicy for DemandPricing {
 
     fn on_interval(&mut self, ctx: &IntervalCtx<'_>) -> Vec<VmVerdict> {
         self.epoch_demand += ctx.total_mtus();
-        let restore: std::collections::HashSet<VmId> = self.restore.drain(..).collect();
+        let restore = std::mem::take(&mut self.restore);
         ctx.vms
             .iter()
             .map(|&(vm, _)| {
@@ -309,7 +309,7 @@ impl PricingPolicy for DemandPricing {
         self.epoch_demand = 0;
         for (vm, cap) in self.caps.iter_mut() {
             if *cap != 100 {
-                self.restore.push(*vm);
+                self.restore.push(vm);
             }
             *cap = 100;
         }

@@ -30,12 +30,12 @@ use crate::uar::Uar;
 use resex_faults::{FabricFaults, FaultSchedule, FaultStats};
 use resex_obs::{subsystem, Scope, Tracer};
 use resex_simcore::event::{EventKey, EventQueue};
-use resex_simcore::ids::IdAllocator;
+use resex_simcore::ids::{IdAllocator, IdMap};
 use resex_simcore::rng::SimRng;
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simmem::{Gpa, MemoryHandle, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 resex_simcore::define_id!(
     /// One UAR (doorbell) page on an HCA.
@@ -231,11 +231,11 @@ enum WireFault {
 
 struct Node {
     tpt: Tpt,
-    qps: HashMap<QpNum, QueuePair>,
-    cqs: HashMap<CqNum, CompletionQueue>,
-    pds: HashSet<PdId>,
-    uars: HashMap<UarId, Uar>,
-    qp_uar: HashMap<QpNum, UarId>,
+    qps: IdMap<QpNum, QueuePair>,
+    cqs: IdMap<CqNum, CompletionQueue>,
+    pds: BTreeSet<PdId>,
+    uars: IdMap<UarId, Uar>,
+    qp_uar: IdMap<QpNum, UarId>,
     qp_alloc: IdAllocator<QpNum>,
     cq_alloc: IdAllocator<CqNum>,
     pd_alloc: IdAllocator<PdId>,
@@ -258,11 +258,11 @@ impl Node {
     fn new() -> Self {
         Node {
             tpt: Tpt::new(),
-            qps: HashMap::new(),
-            cqs: HashMap::new(),
-            pds: HashSet::new(),
-            uars: HashMap::new(),
-            qp_uar: HashMap::new(),
+            qps: IdMap::new(),
+            cqs: IdMap::new(),
+            pds: BTreeSet::new(),
+            uars: IdMap::new(),
+            qp_uar: IdMap::new(),
             // QP numbers start at 1 like real HCAs (0 is reserved).
             qp_alloc: IdAllocator::starting_at(1),
             cq_alloc: IdAllocator::new(),
@@ -296,9 +296,9 @@ pub struct Fabric {
     /// reconnected. See [`Fabric::enable_recovery`].
     recovery: bool,
     /// Per-broken-QP connection-manager state, keyed by `(node, qp)`.
-    /// Never iterated (only keyed access), so the map's order cannot leak
-    /// into simulation order.
-    cm: HashMap<(NodeId, QpNum), CmEntry>,
+    /// Touched only when a QP breaks or reconnects, so an ordered map is
+    /// cheap enough.
+    cm: BTreeMap<(NodeId, QpNum), CmEntry>,
     /// Internal inconsistencies caught by the event loop instead of
     /// panicking (timer references to destroyed state and the like).
     internal_errors: Vec<(SimTime, FabricError)>,
@@ -328,7 +328,7 @@ impl Fabric {
             tracer: Tracer::disabled(),
             faults: None,
             recovery: false,
-            cm: HashMap::new(),
+            cm: BTreeMap::new(),
             internal_errors: Vec::new(),
             payload_pool: Vec::new(),
         })

@@ -22,9 +22,10 @@
 
 use crate::ratelimit::TokenBucket;
 use crate::types::{McGroupId, NodeId, Opcode, QpNum};
+use resex_simcore::ids::IdMap;
 use resex_simcore::time::SimTime;
 use resex_simmem::Gpa;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// What kind of transfer a job is, determining what happens on arrival.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -169,7 +170,7 @@ struct FlowState {
 
 /// Priority + weighted round-robin egress arbiter for one node.
 pub struct LinkArbiter {
-    flows: HashMap<QpNum, FlowState>,
+    flows: IdMap<QpNum, FlowState>,
     /// Service rings, one per active priority level (ascending = first).
     rings: BTreeMap<u8, VecDeque<QpNum>>,
     pending_bytes: u64,
@@ -179,7 +180,7 @@ impl LinkArbiter {
     /// An empty arbiter.
     pub fn new() -> Self {
         LinkArbiter {
-            flows: HashMap::new(),
+            flows: IdMap::new(),
             rings: BTreeMap::new(),
             pending_bytes: 0,
         }
@@ -188,7 +189,7 @@ impl LinkArbiter {
     /// Installs QoS parameters for a flow (before or during traffic).
     pub fn set_flow_params(&mut self, qp: QpNum, params: FlowParams) {
         let old_priority = self.flows.get(&qp).map(|f| f.params.priority);
-        let state = self.flows.entry(qp).or_insert_with(|| FlowState {
+        let state = self.flows.get_or_insert_with(qp, || FlowState {
             queue: VecDeque::new(),
             params: FlowParams::default(),
             turns_used: 0,
@@ -216,7 +217,7 @@ impl LinkArbiter {
         let was_idle = self.pending_bytes == 0 && !self.has_work();
         self.pending_bytes += (job.len - job.sent) as u64;
         let qp = job.qp;
-        let state = self.flows.entry(qp).or_insert_with(|| FlowState {
+        let state = self.flows.get_or_insert_with(qp, || FlowState {
             queue: VecDeque::new(),
             params: FlowParams::default(),
             turns_used: 0,
@@ -357,7 +358,7 @@ impl LinkArbiter {
     /// fully determined, so the per-chunk events can be replayed lazily.
     pub fn sole_unlimited_flow(&self) -> Option<QpNum> {
         let mut found: Option<QpNum> = None;
-        for (&qp, f) in &self.flows {
+        for (qp, f) in self.flows.iter() {
             if f.queue.is_empty() {
                 continue;
             }

@@ -357,7 +357,7 @@ mod tests {
     fn many_regions_unique_keys() {
         let m = mem();
         let mut tpt = Tpt::new();
-        let mut keys = std::collections::HashSet::new();
+        let mut keys = std::collections::BTreeSet::new();
         for i in 0..32 {
             let mr = tpt
                 .register(PdId::new(0), &m, Gpa::new(i * 4096), 4096, Access::FULL)

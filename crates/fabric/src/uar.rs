@@ -10,8 +10,8 @@
 
 use crate::error::FabricError;
 use crate::types::QpNum;
+use resex_simcore::ids::IdMap;
 use resex_simmem::{Gpa, MemoryHandle, PAGE_SIZE};
-use std::collections::HashMap;
 
 /// Bytes reserved per doorbell slot.
 const SLOT_SIZE: usize = 8;
@@ -20,7 +20,7 @@ const SLOT_SIZE: usize = 8;
 pub struct Uar {
     mem: MemoryHandle,
     base: Gpa,
-    slots: HashMap<QpNum, usize>,
+    slots: IdMap<QpNum, usize>,
     next_slot: usize,
 }
 
@@ -36,7 +36,7 @@ impl Uar {
         Ok(Uar {
             mem,
             base,
-            slots: HashMap::new(),
+            slots: IdMap::new(),
             next_slot: 0,
         })
     }

@@ -697,7 +697,7 @@ fn hw_jitter_spreads_timing_but_stays_reproducible() {
         "clean runs are exact"
     );
     // Jittered model: spread appears...
-    let distinct: std::collections::HashSet<_> = noisy.iter().collect();
+    let distinct: std::collections::BTreeSet<_> = noisy.iter().collect();
     assert!(distinct.len() > 16, "jitter spreads latencies");
     // ...but the mean stays near the deterministic value...
     let mean_noisy = noisy.iter().sum::<u64>() as f64 / noisy.len() as f64;

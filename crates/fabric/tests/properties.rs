@@ -6,7 +6,7 @@ use resex_fabric::link::{EgressJob, GrantDecision, JobKind, LinkArbiter};
 use resex_fabric::{Cqe, FabricConfig, NodeId, Opcode, QpNum, WcStatus, CQE_SIZE};
 use resex_simcore::time::SimTime;
 use resex_simmem::Gpa;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn job(seq: u64, qp: u32, len: u32) -> EgressJob {
     EgressJob {
@@ -85,11 +85,11 @@ proptest! {
         // While all flows are backlogged, every window of `nflows`
         // consecutive grants is a permutation of all flows.
         for w in order[..(nflows * (grants_each - 1)) as usize].chunks(nflows as usize) {
-            let distinct: std::collections::HashSet<_> = w.iter().collect();
+            let distinct: BTreeSet<_> = w.iter().collect();
             prop_assert_eq!(distinct.len(), w.len(), "window {:?} starves a flow", w);
         }
         // Per-flow totals are equal.
-        let mut counts: HashMap<u32, u32> = HashMap::new();
+        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
         for f in order {
             *counts.entry(f).or_default() += 1;
         }

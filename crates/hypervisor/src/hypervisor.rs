@@ -21,6 +21,7 @@ use resex_faults::{ControlFaults, FaultSchedule, FaultStats};
 use resex_obs::{subsystem, Scope, Tracer};
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simmem::MemoryHandle;
+use std::cell::Cell;
 
 /// Events emitted by [`Hypervisor::advance`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +70,12 @@ pub struct Hypervisor {
     sched_reqs: Vec<ShareReq>,
     sched_rates: Vec<f64>,
     sched_open: Vec<usize>,
+    /// Memo of the earliest job completion `(time, vcpu)`; the outer
+    /// `None` means stale. Every mutator calls [`Self::accrue_all`] before
+    /// or [`Self::reschedule`] after changing job progress, rates, caps or
+    /// modes, and both clear it, so the platform's per-event `next_time`
+    /// query is O(1) between changes instead of an O(V) rescan.
+    next_due: Cell<Option<Option<(SimTime, VcpuId)>>>,
 }
 
 impl Hypervisor {
@@ -85,6 +92,7 @@ impl Hypervisor {
             sched_reqs: Vec::new(),
             sched_rates: Vec::new(),
             sched_open: Vec::new(),
+            next_due: Cell::new(None),
         }
     }
 
@@ -353,10 +361,31 @@ impl Hypervisor {
 
     /// When the next job completion is due, if any.
     pub fn next_time(&self) -> Option<SimTime> {
+        self.next_due().map(|(t, _)| t)
+    }
+
+    /// [`Self::next_time`] recomputed by scanning every VCPU, bypassing
+    /// the memo. The reference the memo is tested against.
+    pub fn next_time_uncached(&self) -> Option<SimTime> {
         self.vcpus
             .iter()
             .filter_map(|v| self.completion_time(v))
             .min()
+    }
+
+    /// The earliest job completion and its VCPU (lowest id on ties),
+    /// memoized until the next state change.
+    fn next_due(&self) -> Option<(SimTime, VcpuId)> {
+        if let Some(due) = self.next_due.get() {
+            return due;
+        }
+        let due = self
+            .vcpus
+            .iter()
+            .filter_map(|v| self.completion_time(v).map(|t| (t, v.id)))
+            .min();
+        self.next_due.set(Some(due));
+        due
     }
 
     /// Processes completions due at or before `now`.
@@ -370,12 +399,7 @@ impl Hypervisor {
     /// a caller-owned scratch buffer instead of returning a fresh `Vec`.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, HvEvent)>) {
         loop {
-            let next = self
-                .vcpus
-                .iter()
-                .filter_map(|v| self.completion_time(v).map(|t| (t, v.id)))
-                .min_by_key(|&(t, id)| (t, id));
-            let (t, vid) = match next {
+            let (t, vid) = match self.next_due() {
                 Some((t, vid)) if t <= now => (t, vid),
                 _ => break,
             };
@@ -457,11 +481,18 @@ impl Hypervisor {
 
     /// Brings every VCPU's accounting (and job progress) up to `now`.
     fn accrue_all(&mut self, now: SimTime) {
+        self.next_due.set(None);
         let model = self.model;
         for i in 0..self.vcpus.len() {
             let (dom_cap, runnable) = {
                 let v = &self.vcpus[i];
-                (self.cap_fraction(v), v.runnable())
+                // Only the slice model reads the cap here (an O(V) scan);
+                // the fluid model's rate already folds it in.
+                let dom_cap = match model {
+                    SchedModel::Slice { .. } => self.cap_fraction(v),
+                    SchedModel::Fluid => None,
+                };
+                (dom_cap, v.runnable())
             };
             let v = &mut self.vcpus[i];
             if now <= v.last_update {
@@ -488,6 +519,7 @@ impl Hypervisor {
 
     /// Recomputes fluid service rates after any runnable-set or knob change.
     fn reschedule(&mut self, now: SimTime) {
+        self.next_due.set(None);
         if !matches!(self.model, SchedModel::Fluid) {
             return;
         }

@@ -10,12 +10,12 @@
 use crate::domain::DomainId;
 use crate::error::HvError;
 use crate::hypervisor::Hypervisor;
+use resex_simcore::ids::IdMap;
 use resex_simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// A sampling window over hypervisor CPU counters.
 pub struct XenStat {
-    last_sample: HashMap<DomainId, SimDuration>,
+    last_sample: IdMap<DomainId, SimDuration>,
     last_time: Option<SimTime>,
 }
 
@@ -33,7 +33,7 @@ impl XenStat {
     /// baseline and reports zero usage.
     pub fn new() -> Self {
         XenStat {
-            last_sample: HashMap::new(),
+            last_sample: IdMap::new(),
             last_time: None,
         }
     }

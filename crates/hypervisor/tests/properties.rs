@@ -114,4 +114,55 @@ proptest! {
             wall
         );
     }
+
+    /// The memoized `next_time` always equals a fresh scan of every VCPU's
+    /// completion time, under both scheduling models, across arbitrary
+    /// job/knob/mode/accounting/advance sequences.
+    #[test]
+    fn next_time_memo_matches_rescan(
+        slice in any::<bool>(),
+        ops in prop::collection::vec((0u8..7, 0usize..3, 0u32..5000, 0u64..3000), 1..60),
+    ) {
+        let model = if slice {
+            SchedModel::Slice { period: SimDuration::from_millis(10) }
+        } else {
+            SchedModel::Fluid
+        };
+        let mut hv = Hypervisor::new(model);
+        let pcpus: Vec<_> = (0..3).map(|_| hv.add_pcpu()).collect();
+        let d0 = hv.create_domain("dom0", 1 << 20, true);
+        let a = hv.create_domain("a", 1 << 20, false);
+        let b = hv.create_domain("b", 1 << 20, false);
+        // Domain b owns two VCPUs, so its cap is split by runnable count.
+        // The fluid model shares a PCPU; the slice model allows one VCPU
+        // per PCPU.
+        let placement = if slice { [0, 1, 2] } else { [0, 0, 1] };
+        let doms = [a, b, b];
+        let vcpus: Vec<_> = doms
+            .iter()
+            .zip(placement)
+            .map(|(&d, p)| hv.add_vcpu(d, pcpus[p], SimTime::ZERO).unwrap())
+            .collect();
+        let mut t = SimTime::ZERO;
+        let mut out = Vec::new();
+        for &(op, who, val, dt_us) in &ops {
+            t += SimDuration::from_micros(dt_us);
+            let (v, d) = (vcpus[who], [d0, a, b][who]);
+            // Errors (a busy VCPU, an over-budget cap) are part of the
+            // sequence: they must leave the memo coherent too.
+            match op {
+                0 => drop(hv.start_job(v, SimDuration::from_micros(u64::from(val) + 1), 7, t)),
+                1 => drop(hv.set_cap(d, val % 220, t)),
+                2 => drop(hv.set_weight(d, val % 1000, t)),
+                3 => drop(hv.set_polling(v, t)),
+                4 => drop(hv.set_idle(v, t)),
+                5 => drop(hv.cpu_time_used(d, t)),
+                _ => hv.advance_into(t, &mut out),
+            }
+            prop_assert_eq!(hv.next_time(), hv.next_time_uncached(), "after op {} at {}", op, t);
+        }
+        let end = t + SimDuration::from_secs(1);
+        hv.advance_into(end, &mut out);
+        prop_assert_eq!(hv.next_time(), hv.next_time_uncached());
+    }
 }

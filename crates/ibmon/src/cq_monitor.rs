@@ -26,6 +26,11 @@
 //! equal bytes decode to an equal signature, so the slot did not change.
 //! Torn slots never reach the shadow, so persistent garbage reads as torn
 //! on every scan.
+//!
+//! A `CqMonitor` holds no tables of its own beyond the shadow; the
+//! [`IbMon`](crate::IbMon) service keeps each domain's monitors in a
+//! dense, hash-free table keyed by domain id and rolls their samples up
+//! in ring-registration order.
 
 use resex_fabric::{Cqe, CQE_SIZE};
 use resex_simcore::time::SimTime;

@@ -6,17 +6,21 @@
 //! into per-VM usage estimates: MTUs sent per interval, byte rates, and the
 //! VM's apparent application buffer size — everything the ResEx pricing
 //! loop consumes (`GetMTUs` in the paper's pseudo-code).
+//!
+//! The per-VM table is an [`IdMap`] indexed by domain id: lookups are a
+//! bounds check, and [`IbMon::monitored`] lists domains in ascending order
+//! without sorting.
 
 use crate::cq_monitor::{CqMonitor, ScanSample};
 use resex_faults::{FaultSchedule, FaultStats, IbmonFaults};
 use resex_hypervisor::{DomainId, Hypervisor};
+use resex_simcore::ids::IdMap;
 use resex_simcore::stats::Ewma;
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simcore::WindowedRate;
 use resex_simmem::Gpa;
 use resex_simmem::MemError;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-interval usage estimate for one VM.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -76,7 +80,7 @@ struct VmMonitor {
 /// The dom0 monitoring service.
 pub struct IbMon {
     cfg: IbMonConfig,
-    vms: HashMap<DomainId, VmMonitor>,
+    vms: IdMap<DomainId, VmMonitor>,
     /// Telemetry fault injectors; `None` (the default) draws nothing and
     /// keeps fault-free runs byte-identical to pre-fault builds.
     faults: Option<IbmonFaults>,
@@ -87,7 +91,7 @@ impl IbMon {
     pub fn new(cfg: IbMonConfig) -> Self {
         IbMon {
             cfg,
-            vms: HashMap::new(),
+            vms: IdMap::new(),
             faults: None,
         }
     }
@@ -125,8 +129,7 @@ impl IbMon {
             .map_err(|e| e.to_string())?;
         let mon = CqMonitor::new(mapping, capacity, self.cfg.mtu).map_err(|e| e.to_string())?;
         self.vms
-            .entry(target)
-            .or_insert_with(|| VmMonitor {
+            .get_or_insert_with(target, || VmMonitor {
                 cqs: Vec::new(),
                 mtu_window: WindowedRate::new(self.cfg.rate_window),
                 buffer_est: Ewma::new(self.cfg.buffer_ewma_alpha),
@@ -138,11 +141,9 @@ impl IbMon {
         Ok(())
     }
 
-    /// The set of monitored VMs.
+    /// The set of monitored VMs, in ascending domain order.
     pub fn monitored(&self) -> Vec<DomainId> {
-        let mut v: Vec<DomainId> = self.vms.keys().copied().collect();
-        v.sort();
-        v
+        self.vms.keys().collect()
     }
 
     /// Scans all of one VM's rings and returns the interval usage.

@@ -30,7 +30,7 @@
 //! the end.
 
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -161,9 +161,14 @@ struct Open {
 /// Interning key: parent node id (or `NO_PARENT` for roots) + frame name.
 const NO_PARENT: u32 = u32::MAX;
 
+/// Frame interning index, keyed by (parent, name). It is only looked up,
+/// never iterated, so its hash seed cannot reach the report.
+#[allow(clippy::disallowed_types)] // `&'static str` keys: hashing beats ordered compares
+type FrameIndex = std::collections::HashMap<(u32, &'static str), u32>;
+
 struct ProfInner {
     nodes: Vec<Node>,
-    index: HashMap<(u32, &'static str), u32>,
+    index: FrameIndex,
     stack: Vec<Open>,
     calendar: CalendarStats,
     events: u64,
@@ -184,7 +189,7 @@ impl Profiler {
             inner: enabled.then(|| {
                 Box::new(ProfInner {
                     nodes: Vec::with_capacity(64),
-                    index: HashMap::with_capacity(64),
+                    index: FrameIndex::with_capacity(64),
                     stack: Vec::with_capacity(8),
                     calendar: CalendarStats::default(),
                     events: 0,

@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn forked_seeds_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for h in 0..512 {
             assert!(seen.insert(fork_seed(42, h)), "host {h} repeated a seed");
         }

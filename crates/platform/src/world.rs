@@ -43,10 +43,10 @@ use resex_obs::{
     MetricsRegistry, Profile, Profiler, Scope, Tracer,
 };
 use resex_simcore::event::{EventKey, EventQueue};
+use resex_simcore::ids::{IdMap, IdRing};
 use resex_simcore::rng::SimRng;
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simmem::{Gpa, MemoryHandle};
-use std::collections::HashMap;
 
 /// Receive slots pre-posted per queue pair.
 const RECV_SLOTS: u32 = 64;
@@ -164,7 +164,9 @@ struct ClientRuntime {
     mem: MemoryHandle,
     req_mr: MrHandle,
     resp_mr: MrHandle,
-    outstanding: HashMap<u64, Pending>,
+    /// Requests in flight, keyed by request id (the low 32 bits the
+    /// response immediate echoes).
+    outstanding: IdRing<Pending>,
 }
 
 /// The running testbed.
@@ -188,8 +190,8 @@ pub struct World {
     /// True once the `End` event has fired; stepping becomes a no-op and
     /// [`World::next_event_time`] reports idle.
     done: bool,
-    srv_qp_to_vm: HashMap<QpNum, usize>,
-    cli_qp_to_client: HashMap<QpNum, usize>,
+    srv_qp_to_vm: IdMap<QpNum, usize>,
+    cli_qp_to_client: IdMap<QpNum, usize>,
     tracer: Tracer,
     registry: MetricsRegistry,
     snapshots: Vec<IntervalSnapshot>,
@@ -311,8 +313,6 @@ impl World {
         let mut vms = Vec::new();
         let mut clients = Vec::new();
         let mut metrics = Vec::new();
-        let mut srv_qp_to_vm = HashMap::new();
-        let mut cli_qp_to_client = HashMap::new();
 
         for (i, spec) in cfg.vms.iter().enumerate() {
             // --- server VM on machine S ---
@@ -475,7 +475,6 @@ impl World {
                 mem,
                 client_resp: (c_resp_mr.rkey, c_resp_base),
             });
-            srv_qp_to_vm.insert(qp, i);
 
             // Every VM draws its two seeds from the scenario RNG in
             // declaration order whether or not it attacks, so arming the
@@ -507,9 +506,8 @@ impl World {
                 mem: cmem,
                 req_mr: c_req_mr,
                 resp_mr: c_resp_mr,
-                outstanding: HashMap::new(),
+                outstanding: IdRing::new(),
             });
-            cli_qp_to_client.insert(cqp, i);
             let mut vm_metrics = VmMetrics::new(spec.name.clone());
             vm_metrics.keep_records = cfg.obs.keep_records;
             // SLO threshold: explicit `slo_us` wins; otherwise reporting
@@ -583,6 +581,8 @@ impl World {
         // Profiling is on when the scenario asks for it or when the
         // process-global switch (set by `repro profile`) is armed.
         let self_profiler = Profiler::new(cfg.obs.profile || profiler::global_enabled());
+        let srv_qp_to_vm = vms.iter().enumerate().map(|(i, v)| (v.qp, i)).collect();
+        let cli_qp_to_client = clients.iter().enumerate().map(|(i, c)| (c.qp, i)).collect();
         World {
             cfg,
             fabric,
@@ -1513,7 +1513,7 @@ impl World {
                 }
             }
         }
-        let pending = match self.clients[ci].outstanding.remove(&req_id) {
+        let pending = match self.clients[ci].outstanding.remove(req_id) {
             Some(p) => p,
             None => return, // duplicate/late; nothing to do
         };
@@ -1528,7 +1528,7 @@ impl World {
     /// arrived and retired the entry before the calendar pop — are a
     /// no-op.
     fn on_request_timeout(&mut self, ci: usize, req_id: u64, t: SimTime) {
-        let pending = match self.clients[ci].outstanding.remove(&req_id) {
+        let pending = match self.clients[ci].outstanding.remove(req_id) {
             Some(p) => p,
             None => return,
         };

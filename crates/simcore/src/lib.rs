@@ -13,7 +13,8 @@
 //! * [`series`] — time-series recording and windowed rate estimation.
 //! * [`shard`] — conservative-lookahead sharding: sync horizons,
 //!   deterministic cross-shard channels, per-shard accounting.
-//! * [`ids`] — the [`define_id!`] macro for strongly-typed entity ids.
+//! * [`ids`] — the [`define_id!`] macro for strongly-typed entity ids, and
+//!   the hash-free tables keyed by them ([`IdMap`], [`IdRing`]).
 //!
 //! Nothing in this crate knows about InfiniBand, Xen, or pricing; it is a
 //! generic, heavily tested kernel.
@@ -27,7 +28,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventKey, EventQueue};
-pub use ids::IdAllocator;
+pub use ids::{IdAllocator, IdMap, IdRing};
 pub use rng::SimRng;
 pub use series::{TimeSeries, WindowedRate};
 pub use shard::{conservative_horizon, LinkChannel, LinkMsg, ShardStats};

@@ -110,14 +110,14 @@ proptest! {
             .enumerate()
             .map(|(i, &t)| (i, q.schedule_at(SimTime::from_micros(t), i)))
             .collect();
-        let mut cancelled = std::collections::HashSet::new();
+        let mut cancelled = std::collections::BTreeSet::new();
         for (i, key) in &keys {
             if cancel_mask.get(*i).copied().unwrap_or(false) {
                 prop_assert!(q.cancel(*key));
                 cancelled.insert(*i);
             }
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some((_, idx)) = q.pop() {
             prop_assert!(!cancelled.contains(&idx), "cancelled event fired");
             seen.insert(idx);

@@ -24,14 +24,14 @@ use resex_simcore::time::{SimDuration, SimTime};
 /// VM's fraction of this interval's MTUs.
 struct SquareTax {
     k: f64,
-    caps: std::collections::HashMap<VmId, u32>,
+    caps: std::collections::BTreeMap<VmId, u32>,
 }
 
 impl SquareTax {
     fn new(k: f64) -> Self {
         SquareTax {
             k,
-            caps: std::collections::HashMap::new(),
+            caps: std::collections::BTreeMap::new(),
         }
     }
 }

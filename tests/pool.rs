@@ -8,7 +8,7 @@
 //! regardless of core count.
 
 use rayon::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -57,7 +57,7 @@ fn par_map_preserves_input_order() {
 #[test]
 fn par_map_runs_every_element_exactly_once() {
     pool4();
-    let seen = Mutex::new(HashSet::new());
+    let seen = Mutex::new(BTreeSet::new());
     let n = 257usize; // odd size: exercises uneven splits
     let out: Vec<usize> = (0..n)
         .into_par_iter()
@@ -93,7 +93,8 @@ fn work_actually_spreads_across_threads() {
     if rayon::current_num_threads() <= 1 {
         return; // explicit RESEX_THREADS=1 run: nothing to assert
     }
-    let ids = Mutex::new(HashSet::new());
+    #[allow(clippy::disallowed_types)] // `ThreadId` is hashable but not ordered
+    let ids = Mutex::new(std::collections::HashSet::new());
     let _: Vec<()> = (0..64)
         .into_par_iter()
         .map(|_| {
