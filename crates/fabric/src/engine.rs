@@ -184,6 +184,10 @@ enum Timer {
 /// per chunk. Any interim operation that could observe or perturb link
 /// state settles the batch first (`settle_node`), so observable state never
 /// diverges from the chunk-at-a-time path.
+///
+/// After chunk 0 every chunk but the last is exactly `grant_bytes` long
+/// and takes `ser`, so both opening and settling a batch are closed-form:
+/// the host work per transfer does not grow with its length.
 struct LinkBatch {
     /// Grant plan of the batch's first chunk (effects still pending).
     plan0: GrantPlan,
@@ -985,15 +989,19 @@ impl Fabric {
     /// Installs HCA QoS parameters (priority, WRR weight, rate limit) for a
     /// queue pair's egress flow — the hardware-side isolation knobs the
     /// paper contrasts with ResEx's hypervisor-side cap.
+    ///
+    /// The defensive settle runs at the fabric's own clock (its last
+    /// processed event), not at the caller's instant, so a batched chunk
+    /// that finished in between is granted under the new parameters,
+    /// where the per-chunk path would have used the old ones. A caller
+    /// changing QoS mid-transfer that needs the chunk-exact switch calls
+    /// [`Fabric::settle_links`] with its own instant first.
     pub fn set_qp_flow_params(
         &mut self,
         node: NodeId,
         qp: QpNum,
         params: FlowParams,
     ) -> Result<(), FabricError> {
-        // No caller passes a timestamp here (QoS is installed at setup
-        // time); the fabric's own clock is the right "as of now" for the
-        // defensive settle.
         let now = self.agenda.now();
         self.settle_node(node, now, false);
         let n = self.node_mut(node)?;
@@ -1130,21 +1138,20 @@ impl Fabric {
                             && n.arbiter.sole_unlimited_flow() == Some(plan.job.qp)
                     };
                 if batchable {
-                    let mut end = now + dur;
-                    let mut prev = now;
-                    let mut left = plan.job.len - plan.job.sent;
-                    while left > 0 {
-                        let bytes = left.min(grant_bytes);
-                        prev = end;
-                        end += self.cfg.serialization_time(bytes as u64);
-                        left -= bytes;
-                    }
+                    // After chunk 0, `left` bytes go out as `full` full
+                    // chunks and one final chunk of 1..=grant_bytes bytes.
+                    let left = plan.job.len - plan.job.sent;
+                    let full = (left - 1) / grant_bytes;
+                    let ser = self.cfg.serialization_time(grant_bytes as u64);
+                    let last = left - full * grant_bytes;
+                    let prev = now + dur + ser * full as u64;
+                    let end = prev + self.cfg.serialization_time(last as u64);
                     let timer = self.agenda.schedule_at(end, Timer::BatchDone { node });
                     self.nodes[node.index()].batch = Some(LinkBatch {
                         plan0: plan,
                         start: now,
                         dur0: dur,
-                        ser: self.cfg.serialization_time(grant_bytes as u64),
+                        ser,
                         fire_end: end,
                         prev_end: prev,
                         timer,
@@ -1207,11 +1214,49 @@ impl Fabric {
         }
     }
 
+    /// Applies, in one step, the `k` full non-final chunks that `qp` sends
+    /// to `dst` after a chunk ending at `end`: the sender's counters, the
+    /// destination's ingress cursor and the arbiter all end up where `k`
+    /// calls of [`Fabric::apply_batched_chunk`] after `k` grants would
+    /// leave them. Chunk `i` ends at `end + i·ser` and arrives `one_way`
+    /// later, so the ingress cursor after the last one is
+    /// `max(arrival_k, ingress_free + k·ser)`.
+    fn apply_full_chunks(
+        &mut self,
+        node: NodeId,
+        qp: QpNum,
+        dst: NodeId,
+        k: u64,
+        end: SimTime,
+        ser: SimDuration,
+    ) {
+        let grant_bytes = self.cfg.grant_mtus * self.cfg.mtu_bytes;
+        let (bytes, mtus) = (k * grant_bytes as u64, k * self.cfg.grant_mtus as u64);
+        if let Some(n) = self.nodes.get_mut(node.index()) {
+            n.counters.bytes_sent += bytes;
+            n.counters.mtus_sent += mtus;
+            n.counters.grants += k;
+            n.counters.busy += ser * k;
+            if let Some(q) = n.qps.get_mut(&qp) {
+                q.counters.bytes_sent += bytes;
+                q.counters.mtus_sent += mtus;
+            }
+            n.arbiter.grant_run(qp, k, grant_bytes);
+        }
+        let arrival = end + ser * k + self.cfg.one_way_latency();
+        if let Some(d) = self.nodes.get_mut(dst.index()) {
+            d.ingress_free = arrival.max(d.ingress_free + ser * k);
+        }
+    }
+
     /// Brings a node with a pending batched transfer back to the exact
     /// state the chunk-at-a-time path would have at `upto`: chunks whose
     /// serialization finished by then are applied at their historical
     /// times, and a chunk still on the wire becomes an ordinary
-    /// `GrantDone` event. A no-op when no batch is pending. Called from
+    /// `GrantDone` event. Chunk 0 and the final chunk are applied one at a
+    /// time; the full chunks between them finish every `ser` and are
+    /// applied in one closed-form step, so a settle costs O(1) whatever
+    /// the transfer size. A no-op when no batch is pending. Called from
     /// the `BatchDone` timer itself and from every operation that could
     /// observe or mutate link state mid-batch.
     fn settle_node(&mut self, node: NodeId, upto: SimTime, inclusive: bool) {
@@ -1240,47 +1285,64 @@ impl Fabric {
             );
             return;
         }
-        let seq = batch.plan0.job.seq;
-        let mut left = batch.plan0.job.len - batch.plan0.job.sent;
+        let job = &batch.plan0.job;
+        let (seq, qp, dst) = (job.seq, job.qp, job.dst_node);
+        let mut left = job.len - job.sent;
         self.apply_batched_chunk(node, batch.plan0, end);
-        while left > 0 {
-            let start = end;
-            let bytes = left.min(grant_bytes);
-            left -= bytes;
-            let dur = self.cfg.serialization_time(bytes as u64);
-            let plan = match self.nodes[node.index()]
-                .arbiter
-                .next_grant(grant_bytes, mtu, start)
-            {
-                GrantDecision::Grant(p) => p,
-                _ => {
-                    // Unreachable for a batched (sole, unlimited) flow;
-                    // record the inconsistency instead of dropping the tail.
-                    self.internal_errors.push((
-                        start,
-                        FabricError::InternalInconsistency(
-                            "batched link replay found no grant to serve".into(),
-                        ),
-                    ));
-                    return;
-                }
-            };
-            debug_assert_eq!(plan.job.seq, seq, "batched replay switched jobs");
-            debug_assert_eq!(plan.bytes, bytes, "batched replay chunk size drifted");
-            debug_assert_eq!(plan.job_finished, left == 0);
-            if let Some(n) = self.nodes.get_mut(node.index()) {
-                n.counters.busy += dur;
-            }
-            end = start + dur;
-            if end > upto || (end == upto && !inclusive) {
-                // This chunk is on the wire right now: hand it back to the
-                // ordinary grant-completion path.
-                self.agenda
-                    .schedule_at(end, Timer::GrantDone { node, plan });
+        // Full chunk i ends at `end + i·ser`; the first `k` of them
+        // finished by `upto` (a tie only when `inclusive`, as above).
+        let full = ((left - 1) / grant_bytes) as u64;
+        let k = if batch.ser.is_zero() {
+            full
+        } else {
+            let since = (upto - end).as_nanos();
+            let ser = batch.ser.as_nanos();
+            let tie = since.is_multiple_of(ser) && !inclusive;
+            (since / ser - u64::from(tie)).min(full)
+        };
+        if k > 0 {
+            self.apply_full_chunks(node, qp, dst, k, end, batch.ser);
+            end += batch.ser * k;
+            left -= (k * grant_bytes as u64) as u32;
+        }
+        // Exactly one chunk is left to account for: a full one still on
+        // the wire (k < full), or the final one, on the wire or done.
+        let start = end;
+        let bytes = left.min(grant_bytes);
+        let plan = match self.nodes[node.index()]
+            .arbiter
+            .next_grant(grant_bytes, mtu, start)
+        {
+            GrantDecision::Grant(p) => p,
+            _ => {
+                // Unreachable for a batched (sole, unlimited) flow;
+                // record the inconsistency instead of dropping the tail.
+                self.internal_errors.push((
+                    start,
+                    FabricError::InternalInconsistency(
+                        "batched link replay found no grant to serve".into(),
+                    ),
+                ));
                 return;
             }
-            self.apply_batched_chunk(node, plan, end);
+        };
+        debug_assert_eq!(plan.job.seq, seq, "batched replay switched jobs");
+        debug_assert_eq!(plan.bytes, bytes, "batched replay chunk size drifted");
+        debug_assert_eq!(plan.job_finished, bytes == left);
+        let dur = self.cfg.serialization_time(bytes as u64);
+        if let Some(n) = self.nodes.get_mut(node.index()) {
+            n.counters.busy += dur;
         }
+        end = start + dur;
+        if end > upto || (end == upto && !inclusive) {
+            // This chunk is on the wire right now: hand it back to the
+            // ordinary grant-completion path.
+            self.agenda
+                .schedule_at(end, Timer::GrantDone { node, plan });
+            return;
+        }
+        debug_assert!(plan.job_finished, "a finished full chunk escaped k");
+        self.apply_batched_chunk(node, plan, end);
         // The whole batch completed by `upto`: free the link and look for
         // the next job, exactly as the final grant's completion would. The
         // kick must not open a fresh batch — our caller may be about to

@@ -162,6 +162,7 @@ impl Default for FlowParams {
     }
 }
 
+#[derive(Clone)]
 struct FlowState {
     queue: VecDeque<EgressJob>,
     params: FlowParams,
@@ -169,6 +170,7 @@ struct FlowState {
 }
 
 /// Priority + weighted round-robin egress arbiter for one node.
+#[derive(Clone)]
 pub struct LinkArbiter {
     flows: IdMap<QpNum, FlowState>,
     /// Service rings, one per active priority level (ascending = first).
@@ -335,6 +337,63 @@ impl LinkArbiter {
             Some(until) => GrantDecision::Throttled { until },
             None => GrantDecision::Idle,
         }
+    }
+
+    /// Serves `k` full, non-final grants of `grant_bytes` to `qp` in one
+    /// step, leaving the arbiter exactly where `k` calls of
+    /// [`LinkArbiter::next_grant`] would: the front job's `sent`,
+    /// `pending_bytes`, the flow's `turns_used` and the service rings.
+    ///
+    /// The caller guarantees what the batched link path already checks:
+    /// `qp` is the only flow with queued work, it carries no rate limit,
+    /// and its front job has more than `k × grant_bytes` bytes left, so
+    /// every one of the `k` grants is full-size and none finishes the job.
+    /// No rate limit is consulted then, which is why `next_grant`'s `mtu`
+    /// and `now` arguments are not needed.
+    pub fn grant_run(&mut self, qp: QpNum, mut k: u64, grant_bytes: u32) {
+        // Stale ring entries ahead of `qp` (flows that emptied or were
+        // purged) are dropped one call at a time, exactly as `next_grant`
+        // meets them; once `qp` is alone at the head level the rest is
+        // arithmetic.
+        while k > 0 && !self.sole_ring_entry(qp) {
+            let served = self.next_grant(grant_bytes, grant_bytes, SimTime::ZERO);
+            debug_assert!(
+                matches!(&served, GrantDecision::Grant(p) if p.job.qp == qp && !p.job_finished),
+                "grant_run outside its precondition"
+            );
+            k -= 1;
+        }
+        if k == 0 {
+            return;
+        }
+        let flow = self.flows.get_mut(&qp).expect("sole flow exists");
+        let job = flow.queue.front_mut().expect("sole flow has a job");
+        let bytes = k * grant_bytes as u64;
+        debug_assert!(
+            bytes < (job.len - job.sent) as u64,
+            "grant_run would finish the job"
+        );
+        job.sent += bytes as u32;
+        self.pending_bytes -= bytes;
+        // `next_grant` counts one turn per grant and resets to 0 on
+        // reaching the weight (every grant, for weights 0 and 1).
+        let (w, t0) = (flow.params.weight as u64, flow.turns_used as u64);
+        flow.turns_used = if w <= 1 {
+            0
+        } else if t0 < w {
+            ((t0 + k) % w) as u32
+        } else {
+            ((k - 1) % w) as u32
+        };
+    }
+
+    /// True when the first non-empty service ring is exactly `[qp]`, so
+    /// every further grant pops and re-pushes that single entry.
+    fn sole_ring_entry(&self, qp: QpNum) -> bool {
+        self.rings
+            .values()
+            .find(|r| !r.is_empty())
+            .is_some_and(|r| r.len() == 1 && r[0] == qp)
     }
 
     /// True if any job is queued.

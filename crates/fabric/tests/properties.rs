@@ -2,7 +2,7 @@
 //! and wire-format round-trips.
 
 use proptest::prelude::*;
-use resex_fabric::link::{EgressJob, GrantDecision, JobKind, LinkArbiter};
+use resex_fabric::link::{EgressJob, FlowParams, GrantDecision, JobKind, LinkArbiter};
 use resex_fabric::{Cqe, FabricConfig, NodeId, Opcode, QpNum, WcStatus, CQE_SIZE};
 use resex_simcore::time::SimTime;
 use resex_simmem::Gpa;
@@ -30,7 +30,79 @@ fn job(seq: u64, qp: u32, len: u32) -> EgressJob {
     }
 }
 
+/// Every grant the arbiter hands out until it runs dry, as comparable
+/// tuples `(qp, seq, bytes, mtus, is_first, job_finished)`.
+fn drain_grants(a: &mut LinkArbiter, g: u32) -> Vec<(u32, u64, u32, u32, bool, bool)> {
+    let mut out = Vec::new();
+    while let GrantDecision::Grant(p) = a.next_grant(g, 1024, SimTime::ZERO) {
+        out.push((
+            p.job.qp.raw(),
+            p.job.seq,
+            p.bytes,
+            p.mtus,
+            p.is_first,
+            p.job_finished,
+        ));
+    }
+    out
+}
+
 proptest! {
+    /// `grant_run(qp, k, g)` is `k` calls of `next_grant` in one step: a
+    /// clone that takes the `k` grants one at a time ends in the same
+    /// state, seen through `pending_bytes` and every later grant. A second
+    /// flow joins afterwards so the leftover `turns_used` decides who goes
+    /// next; a purged flow leaves a stale ring entry ahead of the sole one.
+    #[test]
+    fn grant_run_matches_repeated_next_grant(
+        weight_pick in 0usize..3,
+        warmup in 0u32..3,
+        chunks in 3u32..12,
+        past_boundary in any::<bool>(),
+        mtus_pick in 0usize..3,
+        stale in any::<bool>(),
+        k_pick in any::<u64>(),
+    ) {
+        let weight = [0u32, 1, 3][weight_pick];
+        let g = [1u32, 4, 16][mtus_pick] * 1024;
+        let len = chunks * g + u32::from(past_boundary);
+        let mut a = LinkArbiter::new();
+        if stale {
+            a.set_flow_params(QpNum::new(9), FlowParams { priority: 0, ..FlowParams::default() });
+            a.enqueue(job(100, 9, 3 * g));
+            a.purge_qp(QpNum::new(9));
+        }
+        a.set_flow_params(QpNum::new(1), FlowParams { weight, ..FlowParams::default() });
+        a.enqueue(job(0, 1, len));
+        // Grants before the run leave a nonzero `turns_used` (weight 3).
+        for _ in 0..warmup {
+            let served = a.next_grant(g, 1024, SimTime::ZERO);
+            prop_assert!(matches!(served, GrantDecision::Grant(_)));
+        }
+        // Full grants left that do not finish the job.
+        let left = len - warmup * g;
+        let non_final = (left - 1) / g;
+        let k = k_pick % (non_final as u64 + 1);
+
+        let mut stepped = a.clone();
+        for _ in 0..k {
+            let served = stepped.next_grant(g, 1024, SimTime::ZERO);
+            prop_assert!(
+                matches!(&served, GrantDecision::Grant(p) if p.bytes == g && !p.job_finished),
+                "precondition: full, non-final grants"
+            );
+        }
+        a.grant_run(QpNum::new(1), k, g);
+        prop_assert_eq!(a.pending_bytes(), stepped.pending_bytes());
+
+        for arb in [&mut a, &mut stepped] {
+            arb.enqueue(job(1, 2, 2 * g + 5));
+            arb.enqueue(job(2, 1, g));
+        }
+        prop_assert_eq!(drain_grants(&mut a, g), drain_grants(&mut stepped, g));
+        prop_assert_eq!(a.pending_bytes(), 0);
+    }
+
     /// Bytes granted equal bytes enqueued, for any mix of flows and sizes.
     #[test]
     fn arbiter_conserves_bytes(

@@ -66,6 +66,9 @@ impl fmt::Display for Gpa {
 struct PageState {
     data: Option<Box<[u8; PAGE_SIZE]>>,
     pin_count: u32,
+    /// Ever pinned or written: counted by [`GuestMemory::resident_pages`]
+    /// even while its storage is still unallocated.
+    resident: bool,
 }
 
 impl PageState {
@@ -73,15 +76,17 @@ impl PageState {
         PageState {
             data: None,
             pin_count: 0,
+            resident: false,
         }
     }
 }
 
 /// A single domain's guest-physical memory.
 ///
-/// Pages are materialized lazily on first write (reads of untouched pages
-/// return zeros, like freshly ballooned memory). A simple bump allocator
-/// hands out page-aligned regions for application buffers and queue rings.
+/// Pages are materialized lazily on first write, pinned or not (reads of
+/// untouched pages return zeros, like freshly ballooned memory). A simple
+/// bump allocator hands out page-aligned regions for application buffers
+/// and queue rings.
 pub struct GuestMemory {
     pages: Vec<PageState>,
     alloc_next: u64,
@@ -104,9 +109,11 @@ impl GuestMemory {
         (self.pages.len() * PAGE_SIZE) as u64
     }
 
-    /// Number of pages currently materialized (backed by real storage).
+    /// Number of resident pages: every page that has ever been pinned or
+    /// written. A pinned page counts even before its storage is allocated,
+    /// as a real pinned page would be faulted in at registration.
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.data.is_some()).count()
+        self.pages.iter().filter(|p| p.resident).count()
     }
 
     fn check_range(&self, gpa: Gpa, len: usize) -> Result<(), MemError> {
@@ -184,9 +191,9 @@ impl GuestMemory {
             let frame = (addr / PAGE_SIZE as u64) as usize;
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(buf.len() - done);
-            let page = self.pages[frame]
-                .data
-                .get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let state = &mut self.pages[frame];
+            state.resident = true;
+            let page = state.data.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
             page[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
             addr += n as u64;
@@ -221,16 +228,18 @@ impl GuestMemory {
     /// Pins every page overlapping `[gpa, gpa+len)` (registration-time
     /// behaviour of RDMA memory regions). Pins nest: each `pin_range` must be
     /// balanced by one `unpin_range`.
+    ///
+    /// Pinning only counts: a pinned page becomes resident (see
+    /// [`GuestMemory::resident_pages`]) but gets storage on its first
+    /// write, like any other page, and reads as zeros until then. A 2 MiB
+    /// region that the HCA never writes therefore costs no page storage.
     pub fn pin_range(&mut self, gpa: Gpa, len: usize) -> Result<(), MemError> {
         self.check_range(gpa, len)?;
         let first = gpa.frame();
         let last = gpa.add(len.saturating_sub(1) as u64).frame();
-        for frame in first..=last {
-            self.pages[frame as usize].pin_count += 1;
-            // Pinned pages must be resident: the HCA will DMA into them.
-            self.pages[frame as usize]
-                .data
-                .get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+        for page in &mut self.pages[first as usize..=last as usize] {
+            page.pin_count += 1;
+            page.resident = true;
         }
         Ok(())
     }
@@ -509,6 +518,30 @@ mod tests {
         let mut b = [0u8; 1];
         h2.read(Gpa::new(10), &mut b).unwrap();
         assert_eq!(b[0], 42);
+    }
+
+    #[test]
+    fn pinned_pages_stay_resident_and_back_on_first_dma() {
+        let h = MemoryHandle::new(8 * PAGE_SIZE as u64);
+        let gpa = Gpa::new(PAGE_SIZE as u64);
+        h.with_write(|m| m.pin_range(gpa, PAGE_SIZE)).unwrap();
+        h.with_write(|m| m.unpin_range(gpa, PAGE_SIZE)).unwrap();
+        assert_eq!(
+            h.with_read(|m| m.resident_pages()),
+            1,
+            "unpin keeps residency"
+        );
+        h.with_write(|m| m.pin_range(gpa, 2 * PAGE_SIZE)).unwrap();
+        let mut out = [0xFFu8; 8];
+        h.dma_read(gpa.add(PAGE_SIZE as u64), &mut out).unwrap();
+        assert_eq!(out, [0u8; 8], "pinned, never-written page reads as zeros");
+        h.dma_write(gpa.add(PAGE_SIZE as u64 + 10), &[7, 8, 9])
+            .unwrap();
+        let mut back = [0u8; 5];
+        h.dma_read(gpa.add(PAGE_SIZE as u64 + 9), &mut back)
+            .unwrap();
+        assert_eq!(back, [0, 7, 8, 9, 0]);
+        assert_eq!(h.with_read(|m| m.resident_pages()), 2);
     }
 
     #[test]

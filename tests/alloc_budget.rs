@@ -12,8 +12,14 @@
 //!
 //! The IBMon ring scan, which runs on every VM every charging interval,
 //! is held to a stricter budget: once primed it allocates nothing.
+//!
+//! Registering a memory region pins its pages but does not back them:
+//! page storage arrives with the first write, so a large MR that is
+//! never written costs almost no heap.
 
-use resex_fabric::{CompletionQueue, CqNum, Cqe, Opcode, QpNum, WcStatus, CQE_SIZE};
+use resex_fabric::{
+    Access, CompletionQueue, CqNum, Cqe, Fabric, Opcode, QpNum, WcStatus, CQE_SIZE,
+};
 use resex_ibmon::CqMonitor;
 use resex_platform::{run_scenario, PolicyKind, ScenarioConfig};
 use resex_simcore::time::{SimDuration, SimTime};
@@ -100,4 +106,24 @@ fn scan_alloc_bytes(torn: bool) -> u64 {
 fn primed_ring_scans_allocate_nothing() {
     assert_eq!(scan_alloc_bytes(false), 0, "clean scans allocated");
     assert_eq!(scan_alloc_bytes(true), 0, "torn scans allocated");
+}
+
+#[test]
+fn registering_a_large_mr_backs_no_pages() {
+    const MR: u32 = 2 << 20;
+    let mut f = Fabric::with_defaults();
+    let node = f.add_node();
+    let mem = MemoryHandle::new(2 * MR as u64);
+    let pd = f.create_pd(node).unwrap();
+    let gpa = mem.alloc_bytes(MR as u64).unwrap();
+    let (_, before) = resex_obs::alloc::thread_counters();
+    f.register_mr(node, pd, &mem, gpa, MR, Access::FULL)
+        .unwrap();
+    let (_, after) = resex_obs::alloc::thread_counters();
+    let bytes = after.wrapping_sub(before);
+    assert!(
+        bytes < 64 * 1024,
+        "registering a 2 MiB MR allocated {bytes} bytes"
+    );
+    assert!(mem.with_read(|m| m.is_pinned(gpa, MR as usize)));
 }
