@@ -2,7 +2,8 @@
 # Local CI: format, lint, build, and the tier-1 test suite — fully offline.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick  fast tier: fmt/clippy/build/test plus the byte-identity gates
+#   --quick  fast tier: fmt/clippy/build/test (plus fmt/clippy of the
+#            benchmark crate) and the byte-identity gates
 #            (thread-count, profiler zero-perturbation, committed-baseline).
 #            Minutes, suitable for every push. Windowed-vs-whole calendar
 #            identity is a workspace test (tests/rack_claims.rs).
@@ -30,6 +31,14 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# The benchmark crate (benchmark/) is a workspace of its own, so neither
+# `--workspace` call above reaches it: lint it here, so a crate API change
+# that breaks its build fails CI. Its tests (benchmark/check.sh) stay out
+# until its smoke test accepts a zero `ibmon.scan_alloc_bytes`.
+echo "==> benchmark/: cargo fmt --check, cargo clippy -- -D warnings"
+(cd benchmark && cargo fmt --check &&
+    cargo clippy --offline --release --all-targets -- -D warnings)
 
 # --workspace everywhere: the repo root is itself a package (resex-repro),
 # so a bare `cargo build` would build only it — leaving the resex-bench

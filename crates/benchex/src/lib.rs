@@ -4,10 +4,10 @@
 //!
 //! An RDMA-based latency-sensitive benchmark modeled after a commercial
 //! trading engine (the paper's collaborator was ICE): clients post
-//! timestamped transactions, a strictly FCFS server prices them with real
-//! Black–Scholes math ([`resex_finance`]) and replies with a response
-//! padded to its configured **buffer size** — the knob every experiment in
-//! the paper turns.
+//! timestamped transactions, a strictly FCFS server charges each one the
+//! CPU time of its [`resex_finance`] pricing work and replies with a
+//! response padded to its configured **buffer size** — the knob every
+//! experiment in the paper turns.
 //!
 //! Components are pure state machines (server, client, reporting agent)
 //! returning actions for the platform to execute against the fabric and

@@ -1,7 +1,7 @@
 //! Transaction wire format.
 //!
 //! Clients timestamp each transaction, the server echoes the id and
-//! timestamp back with its result, and the client computes round-trip
+//! timestamp back, and the client computes round-trip
 //! latency from the difference — the measurement loop the paper describes.
 //! Requests are small (they ride in single-MTU sends); responses are padded
 //! to the server's configured *buffer size*, which is the experiment's main
@@ -22,7 +22,7 @@ pub const REQUEST_WIRE_BYTES: u32 = 44;
 
 /// Minimum bytes of a response that carry data (the rest is padding up to
 /// the server's buffer size).
-pub const RESPONSE_HEADER_BYTES: u32 = 36;
+pub const RESPONSE_HEADER_BYTES: u32 = 28;
 
 /// One client transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -45,8 +45,6 @@ pub struct TransactionResponse {
     pub id: u64,
     /// Echoed client send timestamp.
     pub sent_at: SimTime,
-    /// Computed value checksum.
-    pub value_sum: f64,
     /// Server-side service time in nanoseconds (for the client's records).
     pub service_ns: u64,
 }
@@ -136,15 +134,9 @@ impl TransactionResponse {
         buf.put_u32_le(RESPONSE_MAGIC);
         buf.put_u64_le(self.id);
         buf.put_u64_le(self.sent_at.as_nanos());
-        buf.put_f64_le(self.value_sum);
         buf.put_u64_le(self.service_ns);
         debug_assert!(buf.is_empty());
         wire
-    }
-
-    /// Serializes the header (caller pads to the buffer size).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
     }
 
     /// Parses the header from the start of a (padded) response buffer.
@@ -159,7 +151,6 @@ impl TransactionResponse {
         Some(TransactionResponse {
             id: buf.get_u64_le(),
             sent_at: SimTime::from_nanos(buf.get_u64_le()),
-            value_sum: buf.get_f64_le(),
             service_ns: buf.get_u64_le(),
         })
     }
@@ -219,10 +210,9 @@ mod tests {
         let r = TransactionResponse {
             id: 9,
             sent_at: SimTime::from_nanos(77),
-            value_sum: 1234.5678,
             service_ns: 209_000,
         };
-        let wire = r.encode();
+        let wire = r.encode_wire();
         assert_eq!(wire.len(), RESPONSE_HEADER_BYTES as usize);
         assert_eq!(TransactionResponse::decode(&wire), Some(r));
     }
@@ -232,10 +222,9 @@ mod tests {
         let r = TransactionResponse {
             id: 1,
             sent_at: SimTime::ZERO,
-            value_sum: 0.5,
             service_ns: 1,
         };
-        let mut padded = r.encode();
+        let mut padded = r.encode_wire().to_vec();
         padded.resize(64 * 1024, 0); // padded to a 64 KiB buffer
         assert_eq!(TransactionResponse::decode(&padded), Some(r));
     }

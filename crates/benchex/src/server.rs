@@ -4,7 +4,7 @@
 //! may change the outcome of the next one"):
 //!
 //! ```text
-//! poll CQ ──(request)──▶ compute pricing ──▶ post RDMA response ──▶
+//! poll CQ ──(request)──▶ charge pricing CPU ──▶ post RDMA response ──▶
 //!   ▲                                                        │
 //!   └──────────────(send completion)──────────────────────────┘
 //! ```
@@ -13,7 +13,9 @@
 //! (request arrival, compute done, send completion) and executes the
 //! [`ServerAction`]s it returns (start a VCPU job, post a work request).
 //! This keeps BenchEx independent of how the fabric and hypervisor are
-//! wired and makes every transition unit-testable.
+//! wired and makes every transition unit-testable. Pricing is simulated: a
+//! request costs `per_request_overhead + cpu_per_work_unit × work_estimate()`
+//! of VCPU time and runs no [`resex_finance`] kernel.
 
 use crate::latency::{LatencyRecord, LatencyWindow};
 use crate::request::TransactionRequest;
@@ -21,7 +23,7 @@ use resex_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Server tuning parameters.
+/// Server tuning: the response size and the CPU-time model of pricing.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ServerConfig {
     /// Response buffer size in bytes — *the* experimental knob. A "64KB VM"
@@ -35,9 +37,6 @@ pub struct ServerConfig {
     /// Cost of one successful CQ poll (added to PTime even when a request
     /// is already queued).
     pub poll_overhead: SimDuration,
-    /// Whether to actually run the pricing math (results ride in the
-    /// response). Disable only for huge throughput sweeps.
-    pub execute_tasks: bool,
     /// Capacity of the latency window the reporting agent reads.
     pub latency_window: usize,
     /// Scale each response to its transaction's batch size instead of
@@ -64,7 +63,6 @@ impl Default for ServerConfig {
             cpu_per_work_unit: SimDuration::from_micros(12),
             per_request_overhead: SimDuration::from_micros(4),
             poll_overhead: SimDuration::from_micros(2),
-            execute_tasks: true,
             latency_window: 4096,
             variable_responses: false,
         }
@@ -110,7 +108,7 @@ struct InService {
     send_posted: SimTime,
 }
 
-/// The FCFS trading server.
+/// The FCFS trading server; it charges pricing CPU time but never prices.
 pub struct Server {
     cfg: ServerConfig,
     state: State,
@@ -120,8 +118,6 @@ pub struct Server {
     /// Recent latency records (read by the reporting agent).
     pub window: LatencyWindow,
     served: u64,
-    /// Sum of executed task values (checksum output, keeps the math live).
-    pub value_checksum: f64,
 }
 
 impl Server {
@@ -135,7 +131,6 @@ impl Server {
             ready_since: SimTime::ZERO,
             in_service: None,
             served: 0,
-            value_checksum: 0.0,
         }
     }
 
@@ -178,9 +173,6 @@ impl Server {
         let svc = self.in_service.as_mut().expect("in service");
         svc.ctime = now.duration_since(svc.compute_started);
         svc.send_posted = now;
-        if self.cfg.execute_tasks {
-            self.value_checksum += svc.req.task.execute().value_sum;
-        }
         self.state = State::Sending;
         let len = if self.cfg.variable_responses {
             (svc.req.task.n_options)
@@ -234,7 +226,7 @@ impl Server {
     /// guest's memory. The server restarts in `Polling` as if freshly
     /// booted (the platform gates any stray compute/send completions for
     /// the dead incarnation, so the FCFS state machine never sees them).
-    /// Served counts, the latency window, and the checksum survive —
+    /// Served counts and the latency window survive —
     /// they model dom0-side accounting, not guest state.
     pub fn crash(&mut self, now: SimTime) {
         self.queue.clear();
@@ -437,15 +429,6 @@ mod tests {
             }
             _ => panic!(),
         }
-    }
-
-    #[test]
-    fn checksum_accumulates_when_executing() {
-        let mut s = Server::new(ServerConfig::default());
-        s.on_request(req(1), us(0));
-        s.on_compute_done(us(100));
-        s.on_send_complete(us(160));
-        assert!(s.value_checksum != 0.0, "pricing math actually ran");
     }
 
     #[test]

@@ -41,15 +41,13 @@ proptest! {
 
     /// Responses survive the wire round-trip, with arbitrary padding.
     #[test]
-    fn response_roundtrip(id in any::<u64>(), at in any::<u64>(), v in any::<f64>(), svc in any::<u64>(), pad in 0usize..8192) {
-        prop_assume!(!v.is_nan());
+    fn response_roundtrip(id in any::<u64>(), at in any::<u64>(), svc in any::<u64>(), pad in 0usize..8192) {
         let resp = TransactionResponse {
             id,
             sent_at: SimTime::from_nanos(at),
-            value_sum: v,
             service_ns: svc,
         };
-        let mut wire = resp.encode();
+        let mut wire = resp.encode_wire().to_vec();
         wire.resize(wire.len() + pad, 0);
         prop_assert_eq!(TransactionResponse::decode(&wire), Some(resp));
     }
@@ -59,10 +57,7 @@ proptest! {
     /// order, and the latency decomposition is internally consistent.
     #[test]
     fn server_fcfs_conservation(arrival_gaps in prop::collection::vec(1u64..500, 1..60)) {
-        let mut server = Server::new(ServerConfig {
-            execute_tasks: false,
-            ..ServerConfig::default()
-        });
+        let mut server = Server::new(ServerConfig::default());
         let mut t = SimTime::ZERO;
         let mut pending: Option<u64> = None; // request id in service
         let mut served_order = Vec::new();

@@ -164,13 +164,12 @@ impl CompletionQueue {
             )));
         }
         let bytes = capacity as usize * CQE_SIZE;
-        mem.with_write(|m| m.pin_range(ring_gpa, bytes))?;
         // Initialize every slot's owner byte to the *wrong* parity for pass
         // zero so unwritten slots never read as valid.
-        let init = [0xFFu8; CQE_SIZE];
-        for i in 0..capacity {
-            mem.write(ring_gpa.add((i as usize * CQE_SIZE) as u64), &init)?;
-        }
+        mem.with_write(|m| {
+            m.pin_range(ring_gpa, bytes)?;
+            m.fill(ring_gpa, bytes, 0xFF)
+        })?;
         Ok(CompletionQueue {
             num,
             mem,
@@ -285,6 +284,21 @@ mod tests {
             .alloc_bytes((capacity as usize * CQE_SIZE) as u64)
             .unwrap();
         CompletionQueue::new(CqNum::new(0), mem, gpa, capacity).unwrap()
+    }
+
+    #[test]
+    fn fresh_ring_reads_all_ones_and_pass_zero_still_works() {
+        let mut cq = mk_cq(256); // 8 KiB: two pages
+        let mut ring = vec![0u8; cq.ring_len()];
+        cq.mem.read(cq.ring_gpa(), &mut ring).unwrap();
+        assert!(ring.iter().all(|&b| b == 0xFF), "every byte initialized");
+        assert!(cq
+            .mem
+            .with_read(|m| m.is_pinned(cq.ring_gpa(), cq.ring_len())));
+        assert_eq!(cq.mem.with_read(|m| m.resident_pages()), 2);
+        assert!(cq.push(mk_cqe(7, 1)).unwrap());
+        assert_eq!(cq.poll().unwrap(), Some(mk_cqe(7, 1)));
+        assert_eq!(cq.poll().unwrap(), None);
     }
 
     #[test]

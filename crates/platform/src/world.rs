@@ -1506,7 +1506,7 @@ impl World {
         // header is also in memory — check it when present.
         let req_id = imm.expect("responses carry the request id") as u64;
         if len <= 4096 {
-            let mut hdr = [0u8; 36];
+            let mut hdr = [0u8; resex_benchex::request::RESPONSE_HEADER_BYTES as usize];
             if self.clients[ci].mem.read(gpa, &mut hdr).is_ok() {
                 if let Some(resp) = TransactionResponse::decode(&hdr) {
                     debug_assert_eq!(resp.id & 0xFFFF_FFFF, req_id);
@@ -1619,7 +1619,6 @@ impl World {
                 let resp = TransactionResponse {
                     id: request_id,
                     sent_at: SimTime::ZERO, // echoed via imm correlation
-                    value_sum: vm.server.value_checksum,
                     service_ns: 0,
                 };
                 let hdr = resp.encode_wire();

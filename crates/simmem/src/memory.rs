@@ -184,17 +184,35 @@ impl GuestMemory {
 
     /// Writes `buf` starting at `gpa`, materializing pages as needed.
     pub fn write(&mut self, gpa: Gpa, buf: &[u8]) -> Result<(), MemError> {
-        self.check_range(gpa, buf.len())?;
+        self.write_pieces(gpa, buf.len(), |done, piece| {
+            piece.copy_from_slice(&buf[done..done + piece.len()]);
+        })
+    }
+
+    /// Sets `[gpa, gpa+len)` to `byte` in one pass with no staging buffer;
+    /// otherwise the same as [`GuestMemory::write`] of `len` copies.
+    pub fn fill(&mut self, gpa: Gpa, len: usize, byte: u8) -> Result<(), MemError> {
+        self.write_pieces(gpa, len, |_, piece| piece.fill(byte))
+    }
+
+    /// Mutable [`GuestMemory::read_pieces`]; `f` also gets each piece's offset.
+    fn write_pieces(
+        &mut self,
+        gpa: Gpa,
+        len: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), MemError> {
+        self.check_range(gpa, len)?;
         let mut addr = gpa.raw();
         let mut done = 0;
-        while done < buf.len() {
+        while done < len {
             let frame = (addr / PAGE_SIZE as u64) as usize;
             let off = (addr % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - off).min(buf.len() - done);
+            let n = (PAGE_SIZE - off).min(len - done);
             let state = &mut self.pages[frame];
             state.resident = true;
             let page = state.data.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + n].copy_from_slice(&buf[done..done + n]);
+            f(done, &mut page[off..off + n]);
             done += n;
             addr += n as u64;
         }
@@ -542,6 +560,52 @@ mod tests {
             .unwrap();
         assert_eq!(back, [0, 7, 8, 9, 0]);
         assert_eq!(h.with_read(|m| m.resident_pages()), 2);
+    }
+
+    #[test]
+    fn fill_sets_page_straddling_ranges_and_backs_only_touched_pages() {
+        let mut m = GuestMemory::new(8 * PAGE_SIZE as u64);
+        // Pages 4..=6 are pinned, so resident but not yet backed.
+        m.pin_range(Gpa::new(4 * PAGE_SIZE as u64), 3 * PAGE_SIZE)
+            .unwrap();
+        m.write(Gpa::new(PAGE_SIZE as u64 - 1), &[9]).unwrap();
+        assert_eq!(m.resident_pages(), 4);
+        // Straddles pages 0..=2 and leaves its neighbours alone.
+        let gpa = Gpa::new(PAGE_SIZE as u64 - 10);
+        let len = PAGE_SIZE + 20;
+        m.fill(gpa, len, 0xAB).unwrap();
+        let mut out = vec![0u8; len + 2];
+        m.read(Gpa::new(gpa.raw() - 1), &mut out).unwrap();
+        assert_eq!(out[0], 0);
+        assert!(
+            out[1..=len].iter().all(|&b| b == 0xAB),
+            "byte 9 overwritten"
+        );
+        assert_eq!(out[len + 1], 0);
+        // Inside a pinned page: residency is unchanged, storage appears.
+        m.fill(Gpa::new(5 * PAGE_SIZE as u64 + 64), 128, 0xFF)
+            .unwrap();
+        m.fill(Gpa::new(7 * PAGE_SIZE as u64), 0, 0xFF).unwrap();
+        assert_eq!(m.resident_pages(), 6, "pages 0..=2 and 4..=6");
+        let backed: Vec<usize> = (0..8).filter(|&f| m.pages[f].data.is_some()).collect();
+        assert_eq!(backed, [0, 1, 2, 5], "an empty fill backs nothing");
+        assert_eq!(
+            m.read_u32(Gpa::new(5 * PAGE_SIZE as u64 + 64)).unwrap(),
+            u32::MAX
+        );
+    }
+
+    #[test]
+    fn fill_bounds_errors_match_write() {
+        let mut m = GuestMemory::new(2 * PAGE_SIZE as u64);
+        for (gpa, len) in [(2 * PAGE_SIZE as u64 - 3, 4), (2 * PAGE_SIZE as u64, 1)] {
+            let fill = m.fill(Gpa::new(gpa), len, 0xFF).unwrap_err();
+            let write = m.write(Gpa::new(gpa), &vec![0xFF; len]).unwrap_err();
+            assert_eq!(fill, write);
+        }
+        let huge = m.fill(Gpa::new(u64::MAX), 2, 0).unwrap_err();
+        assert!(matches!(huge, MemError::OutOfBounds { len: 2, .. }));
+        assert_eq!(m.resident_pages(), 0, "a rejected fill touches nothing");
     }
 
     #[test]

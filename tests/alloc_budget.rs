@@ -13,15 +13,22 @@
 //! The IBMon ring scan, which runs on every VM every charging interval,
 //! is held to a stricter budget: once primed it allocates nothing.
 //!
+//! The server charges simulated CPU time for each request's pricing work
+//! and never runs the pricing kernels, so an unmanaged exchange-mix run
+//! allocates almost nothing per event once built (~0.0007). CRR reprices
+//! allocate their lattice, so pricing each request lifts that to ~0.011;
+//! the 0.0027 budget sits about 4x from both.
+//!
 //! Registering a memory region pins its pages but does not back them:
 //! page storage arrives with the first write, so a large MR that is
 //! never written costs almost no heap.
 
+use resex_benchex::TraceProfile;
 use resex_fabric::{
     Access, CompletionQueue, CqNum, Cqe, Fabric, Opcode, QpNum, WcStatus, CQE_SIZE,
 };
 use resex_ibmon::CqMonitor;
-use resex_platform::{run_scenario, PolicyKind, ScenarioConfig};
+use resex_platform::{run_scenario, PolicyKind, ScenarioConfig, World};
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simmem::{ForeignMapping, MemoryHandle};
 
@@ -57,6 +64,31 @@ fn hot_path_stays_under_half_an_allocation_per_event() {
         per_event < 0.5,
         "hot path regressed to {per_event:.3} allocs/event \
          ({allocs} allocations over {events} events)"
+    );
+}
+
+#[test]
+fn served_requests_run_no_pricing_kernels() {
+    // One unmanaged 64 KiB VM whose client sends the default exchange mix
+    // (quotes, risk checks, CRR reprices, implied-vol solves).
+    let mut cfg = ScenarioConfig::base_case(64 * 1024);
+    cfg.vms[0].trace = TraceProfile::default();
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.warmup = SimDuration::from_millis(200);
+    let world = World::build(cfg);
+    let (before, _) = resex_obs::alloc::thread_counters();
+    let run = world.run();
+    let (after, _) = resex_obs::alloc::thread_counters();
+
+    let allocs = after.wrapping_sub(before);
+    let events = run.events_processed;
+    assert!(events > 10_000, "scenario too small to measure: {events}");
+    let per_event = allocs as f64 / events as f64;
+    assert!(
+        per_event < 0.0027,
+        "unmanaged run allocated {per_event:.5} allocs/event \
+         ({allocs} allocations over {events} events): is the server \
+         executing pricing tasks again?"
     );
 }
 
