@@ -160,31 +160,43 @@ t1=$(date +%s.%N)
 RESEX_THREADS="$PAR_THREADS" "$REPRO" all --quick >/dev/null
 t2=$(date +%s.%N)
 
-echo "==> rack scaling: repro rack --quick (128-host sharded rack), RESEX_THREADS=1 vs $PAR_THREADS"
+echo "==> rack scaling: repro rack --quick (128-host sharded rack), RESEX_THREADS=1 vs $CORES, best of 3"
 # The sharded calendar's reason to exist: one shard per host hands the
-# work-stealing pool genuinely parallel work. Both legs also re-check the
-# run's determinism (JSON must not depend on the pool width).
-r0=$(date +%s.%N)
-RESEX_THREADS=1 "$REPRO" rack --quick --json "$TMP/rack_seq.json" >/dev/null 2>&1
-r1=$(date +%s.%N)
-RESEX_THREADS="$PAR_THREADS" "$REPRO" rack --quick --json "$TMP/rack_par.json" >/dev/null 2>&1
-r2=$(date +%s.%N)
-cmp "$TMP/rack_seq.json" "$TMP/rack_par.json"
+# work-stealing pool genuinely parallel work. The parallel leg runs one
+# pool thread per core (the width the pool is built for), and each leg
+# keeps its best of three alternated runs: on a shared host, a slow run
+# says more about the neighbours than about the pool. Every run also
+# re-checks the rack's determinism (JSON must not depend on the width).
+RACK_TIMES=""
+for _ in 1 2 3; do
+    r0=$(date +%s.%N)
+    RESEX_THREADS=1 "$REPRO" rack --quick --json "$TMP/rack_seq.json" >/dev/null 2>&1
+    r1=$(date +%s.%N)
+    RESEX_THREADS="$CORES" "$REPRO" rack --quick --json "$TMP/rack_par.json" >/dev/null 2>&1
+    r2=$(date +%s.%N)
+    cmp "$TMP/rack_seq.json" "$TMP/rack_par.json"
+    RACK_TIMES="$RACK_TIMES $r0 $r1 $r2"
+done
 RACK_HOSTS=$(grep -o '"hosts": [0-9]*' "$TMP/rack_seq.json" | head -1 | awk '{print $2}')
 
 GIT_REV="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
-awk -v t0="$t0" -v t1="$t1" -v t2="$t2" -v r0="$r0" -v r1="$r1" -v r2="$r2" \
+awk -v t0="$t0" -v t1="$t1" -v t2="$t2" -v times="$RACK_TIMES" \
     -v par="$PAR_THREADS" -v cores="$CORES" -v rev="$GIT_REV" -v hosts="$RACK_HOSTS" '
 BEGIN {
     seq = t1 - t0; parallel = t2 - t1;
-    rseq = r1 - r0; rpar = r2 - r1;
+    # times holds r0 r1 r2 per run; each leg keeps its fastest run.
+    n = split(times, r, " ");
+    for (i = 1; i < n; i += 3) {
+        if (i == 1 || r[i + 1] - r[i] < rseq) rseq = r[i + 1] - r[i];
+        if (i == 1 || r[i + 2] - r[i + 1] < rpar) rpar = r[i + 2] - r[i + 1];
+    }
     printf "    sweep sequential (RESEX_THREADS=1):   %6.2f s\n", seq;
     printf "    sweep parallel   (RESEX_THREADS=%d):   %6.2f s\n", par, parallel;
     printf "    sweep speedup: %.2fx on %d core(s)\n", seq / parallel, cores;
     printf "    rack  sequential (RESEX_THREADS=1):   %6.2f s  (%.1f hosts/s)\n", rseq, hosts / rseq;
-    printf "    rack  parallel   (RESEX_THREADS=%d):   %6.2f s  (%.1f hosts/s)\n", par, rpar, hosts / rpar;
+    printf "    rack  parallel   (RESEX_THREADS=%d):   %6.2f s  (%.1f hosts/s)\n", cores, rpar, hosts / rpar;
     printf "    rack  speedup: %.2fx on %d core(s)\n", rseq / rpar, cores;
-    printf "{\n  \"bench\": \"repro all --quick\",\n  \"git_rev\": \"%s\",\n  \"flags\": \"all --quick\",\n  \"cores\": %d,\n  \"threads_parallel\": %d,\n  \"sequential_s\": %.3f,\n  \"parallel_s\": %.3f,\n  \"speedup\": %.3f,\n  \"rack\": {\n    \"bench\": \"repro rack --quick\",\n    \"hosts\": %d,\n    \"sequential_s\": %.3f,\n    \"parallel_s\": %.3f,\n    \"hosts_per_s_sequential\": %.1f,\n    \"hosts_per_s_parallel\": %.1f,\n    \"speedup\": %.3f\n  }\n}\n", rev, cores, par, seq, parallel, seq / parallel, hosts, rseq, rpar, hosts / rseq, hosts / rpar, rseq / rpar > "'"$TMP"'/BENCH_sweep.json";
+    printf "{\n  \"bench\": \"repro all --quick\",\n  \"git_rev\": \"%s\",\n  \"flags\": \"all --quick\",\n  \"cores\": %d,\n  \"threads_parallel\": %d,\n  \"sequential_s\": %.3f,\n  \"parallel_s\": %.3f,\n  \"speedup\": %.3f,\n  \"rack\": {\n    \"bench\": \"repro rack --quick\",\n    \"hosts\": %d,\n    \"threads_parallel\": %d,\n    \"sequential_s\": %.3f,\n    \"parallel_s\": %.3f,\n    \"hosts_per_s_sequential\": %.1f,\n    \"hosts_per_s_parallel\": %.1f,\n    \"speedup\": %.3f\n  }\n}\n", rev, cores, par, seq, parallel, seq / parallel, hosts, cores, rseq, rpar, hosts / rseq, hosts / rpar, rseq / rpar > "'"$TMP"'/BENCH_sweep.json";
 }'
 echo "    staged BENCH_sweep.json (rack leg byte-identical across pool widths)"
 
@@ -205,17 +217,25 @@ fi
 echo "==> rack scaling gate: the sharded rack must scale with the pool"
 # One shard per host means ~128 independent calendars per window: on a
 # multi-core host the pool must convert that into wall-clock. ≥4 cores
-# must reach 2x; 2–3 cores must at least not slow down; a single core
-# only records the numbers (the two legs time the same sequential code).
+# must reach 2x. On 2–3 cores the floor is 1.6x. On a shared 2-vCPU host
+# this block read a median 1.81x (1.50–1.99x, 18 runs) with width − 1
+# workers plus the helping caller and in-place windows, and 1.53x
+# (1.32–1.70x, 24 runs) with the earlier pool (a worker per core besides
+# the caller, a notify_all per push) and shards moved through a
+# map-collect every window. The ranges overlap when neighbours load the
+# host, so a run near the floor is worth repeating. The floor is
+# measured on 2 cores only; no 3-core host has been timed against it. A
+# single core only records the numbers (the two legs time the same
+# sequential code).
 RACK_SPEEDUP=$(grep -o '"speedup": [0-9.]*' "$TMP/BENCH_sweep.json" | tail -1 | awk '{print $2}')
 if [ "$CORES" -ge 4 ]; then
     awk -v s="$RACK_SPEEDUP" 'BEGIN { exit !(s < 2.0) }' && {
         echo "    FAIL: rack speedup ${RACK_SPEEDUP}x < 2.0x on $CORES cores"; exit 1; }
     echo "    rack speedup ${RACK_SPEEDUP}x on $CORES cores: ok (>= 2.0x)"
 elif [ "$CORES" -gt 1 ]; then
-    awk -v s="$RACK_SPEEDUP" 'BEGIN { exit !(s < 1.0) }' && {
-        echo "    FAIL: rack slower with the pool (speedup ${RACK_SPEEDUP}x on $CORES cores)"; exit 1; }
-    echo "    rack speedup ${RACK_SPEEDUP}x on $CORES cores: ok (>= 1.0x)"
+    awk -v s="$RACK_SPEEDUP" 'BEGIN { exit !(s < 1.6) }' && {
+        echo "    FAIL: rack speedup ${RACK_SPEEDUP}x < 1.6x on $CORES cores"; exit 1; }
+    echo "    rack speedup ${RACK_SPEEDUP}x on $CORES cores: ok (>= 1.6x)"
 else
     echo "    single core: gate not applicable (rack speedup ${RACK_SPEEDUP}x recorded)"
 fi

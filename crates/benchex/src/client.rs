@@ -15,7 +15,6 @@
 use crate::request::TransactionRequest;
 use crate::trace::TraceGen;
 use resex_simcore::rng::SimRng;
-use resex_simcore::stats::Histogram;
 use resex_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -130,8 +129,6 @@ pub struct Client {
     retries: u64,
     lost: u64,
     retry_limit: u32,
-    /// Round-trip latencies in nanoseconds.
-    pub rtt: Histogram,
 }
 
 impl Client {
@@ -150,7 +147,6 @@ impl Client {
             retries: 0,
             lost: 0,
             retry_limit: REQUEST_RETRY_LIMIT,
-            rtt: Histogram::with_default_resolution(),
         }
     }
 
@@ -212,10 +208,9 @@ impl Client {
     }
 
     /// A response for `request_id` arrived (matched by the platform).
-    pub fn on_response(&mut self, sent_at: SimTime, now: SimTime) -> ClientAction {
+    pub fn on_response(&mut self, now: SimTime) -> ClientAction {
         self.received += 1;
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.rtt.record(now.duration_since(sent_at).as_nanos());
         match self.mode {
             ClientMode::ClosedLoop { think } => {
                 if think.is_zero() {
@@ -311,24 +306,20 @@ mod tests {
         };
         assert_eq!(first.id, 0);
         assert_eq!(c.outstanding(), 1);
-        let a = c.on_response(first.sent_at, us(209));
+        let a = c.on_response(us(209));
         match a {
             ClientAction::Send(r) => assert_eq!(r.id, 1),
             other => panic!("expected send, got {other:?}"),
         }
         assert_eq!(c.received(), 1);
-        assert_eq!(c.rtt.mean(), 209_000.0, "RTT recorded in ns");
     }
 
     #[test]
     fn closed_loop_with_think_time_arms_timer() {
         let think = SimDuration::from_micros(50);
         let mut c = Client::new(1, ClientMode::ClosedLoop { think }, trace(), 7);
-        let first = match c.start(us(0)) {
-            ClientAction::Send(r) => r,
-            _ => panic!(),
-        };
-        match c.on_response(first.sent_at, us(200)) {
+        assert!(matches!(c.start(us(0)), ClientAction::Send(_)));
+        match c.on_response(us(200)) {
             // Think time is jittered ±5%: 200 + 50·[0.95, 1.05].
             ClientAction::ArmTimer(t) => {
                 assert!(t >= us(247) && t <= us(253), "jittered think: {t}");
@@ -355,7 +346,7 @@ mod tests {
             other => panic!("expected re-arm, got {other:?}"),
         }
         // Responses do not trigger sends in open loop.
-        assert_eq!(c.on_response(us(0), us(500)), ClientAction::Idle);
+        assert_eq!(c.on_response(us(500)), ClientAction::Idle);
     }
 
     #[test]
@@ -433,7 +424,7 @@ mod tests {
         };
         assert_eq!(r0.sent_at, us(5));
         assert_eq!(r0.client_id, 1);
-        let r1 = match c.on_response(r0.sent_at, us(100)) {
+        let r1 = match c.on_response(us(100)) {
             ClientAction::Send(r) => r,
             _ => panic!(),
         };

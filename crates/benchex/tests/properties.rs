@@ -113,13 +113,12 @@ proptest! {
         let mut t = SimTime::ZERO;
         let mut act = c.start(t);
         for gap in &responses {
-            let req = match act {
-                ClientAction::Send(r) => r,
-                other => return Err(TestCaseError::fail(format!("expected send, got {other:?}"))),
-            };
+            if !matches!(act, ClientAction::Send(_)) {
+                return Err(TestCaseError::fail(format!("expected send, got {act:?}")));
+            }
             prop_assert_eq!(c.outstanding(), 1);
             t += SimDuration::from_micros(*gap);
-            act = c.on_response(req.sent_at, t);
+            act = c.on_response(t);
         }
         prop_assert_eq!(c.received(), responses.len() as u64);
     }

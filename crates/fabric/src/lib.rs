@@ -87,6 +87,6 @@ pub use link::{FlowParams, GrantDecision};
 pub use mr::{MrHandle, Need, Tpt};
 pub use qp::{QpCounters, QpState, QueuePair, RecvRequest, RemoteTarget, WorkRequest};
 pub use ratelimit::TokenBucket;
-pub use topology::{Hop, RackTopology, Route, Topology, UplinkArbiter};
+pub use topology::{Hop, RackTopology, Route, Topology, UplinkArbiter, UplinkFlow};
 pub use types::{Access, CqNum, McGroupId, NodeId, Opcode, PdId, QpNum, QpType, WcStatus};
 pub use uar::Uar;

@@ -215,15 +215,25 @@ impl Topology {
     }
 }
 
+/// One flow's claim on an uplink window, and what it was granted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UplinkFlow {
+    /// Caller-chosen flow id; equal demands are served in id order.
+    pub id: u32,
+    /// What the flow asks for.
+    pub demand: u64,
+    /// What [`UplinkArbiter::arbitrate`] granted it.
+    pub grant: u64,
+}
+
 /// Deterministic max-min fair arbitration of one oversubscribed uplink.
 ///
 /// Pure integer water-filling: demands are satisfied smallest-first, each
 /// claimant capped at its fair share of what remains, so small flows are
 /// never starved by elephants and equal demands receive equal grants
-/// (±1 byte of integer remainder, assigned by index order). Output is
-/// positionally aligned with the input; ties sort by index, so the
-/// allocation is a pure function of `(capacity, demands)` — no RNG, no
-/// iteration-order hazards.
+/// (±1 byte of integer remainder, assigned by id order). Ties sort by id,
+/// so the allocation is a pure function of `(capacity, demands)` — no
+/// RNG, no iteration-order hazards.
 #[derive(Clone, Copy, Debug)]
 pub struct UplinkArbiter {
     /// Capacity being divided, in the same unit as the demands (the rack
@@ -238,30 +248,22 @@ impl UplinkArbiter {
     }
 
     /// True when the demands exceed capacity and grants must bind.
-    pub fn oversubscribed(&self, demands: &[u64]) -> bool {
-        demands.iter().fold(0u128, |a, &d| a + d as u128) > self.capacity as u128
+    pub fn oversubscribed<'a>(&self, demands: impl IntoIterator<Item = &'a u64>) -> bool {
+        demands.into_iter().fold(0u128, |a, &d| a + d as u128) > self.capacity as u128
     }
 
-    /// Max-min fair grants, positionally aligned with `demands`.
-    /// `sum(grants) ≤ capacity` and `grants[i] ≤ demands[i]` always hold.
-    pub fn grants(&self, demands: &[u64]) -> Vec<u64> {
-        let n = demands.len();
-        let mut grants = vec![0u64; n];
-        if n == 0 {
-            return grants;
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (demands[i], i));
+    /// Max-min fair grants in place, without allocating: sorts `flows` by
+    /// `(demand, id)` and fills in every `grant`.
+    pub fn arbitrate(&self, flows: &mut [UplinkFlow]) {
+        flows.sort_unstable_by_key(|f| (f.demand, f.id));
         let mut cap = self.capacity;
-        let mut left = n as u64;
-        for &i in &order {
+        let mut left = flows.len() as u64;
+        for f in flows {
             let share = cap / left;
-            let g = demands[i].min(share);
-            grants[i] = g;
-            cap -= g;
+            f.grant = f.demand.min(share);
+            cap -= f.grant;
             left -= 1;
         }
-        grants
     }
 }
 
@@ -271,6 +273,24 @@ mod tests {
 
     fn rack() -> RackTopology {
         RackTopology::default()
+    }
+
+    /// Grants positionally aligned with `demands` (ids are positions).
+    fn grants(arb: &UplinkArbiter, demands: &[u64]) -> Vec<u64> {
+        let mut flows: Vec<UplinkFlow> = (0..)
+            .zip(demands)
+            .map(|(id, &demand)| UplinkFlow {
+                id,
+                demand,
+                grant: 0,
+            })
+            .collect();
+        arb.arbitrate(&mut flows);
+        let mut grants = vec![0; demands.len()];
+        for f in flows {
+            grants[f.id as usize] = f.grant;
+        }
+        grants
     }
 
     #[test]
@@ -374,7 +394,7 @@ mod tests {
     #[test]
     fn maxmin_undersubscribed_grants_everything() {
         let arb = UplinkArbiter::new(100);
-        assert_eq!(arb.grants(&[10, 20, 30]), vec![10, 20, 30]);
+        assert_eq!(grants(&arb, &[10, 20, 30]), vec![10, 20, 30]);
         assert!(!arb.oversubscribed(&[10, 20, 30]));
     }
 
@@ -383,9 +403,9 @@ mod tests {
         let arb = UplinkArbiter::new(90);
         assert!(arb.oversubscribed(&[10, 100, 100]));
         // The mouse gets its full 10; the elephants split the remaining 80.
-        assert_eq!(arb.grants(&[10, 100, 100]), vec![10, 40, 40]);
+        assert_eq!(grants(&arb, &[10, 100, 100]), vec![10, 40, 40]);
         // Positional: same demands, different order, same per-flow result.
-        assert_eq!(arb.grants(&[100, 10, 100]), vec![40, 10, 40]);
+        assert_eq!(grants(&arb, &[100, 10, 100]), vec![40, 10, 40]);
     }
 
     #[test]
@@ -399,7 +419,7 @@ mod tests {
             vec![7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7],
             vec![u64::MAX, u64::MAX],
         ] {
-            let g = arb.grants(&demands);
+            let g = grants(&arb, &demands);
             let total: u128 = g.iter().map(|&x| x as u128).sum();
             assert!(total <= 77);
             for (gi, di) in g.iter().zip(&demands) {
@@ -411,10 +431,10 @@ mod tests {
     #[test]
     fn maxmin_equal_demands_split_evenly() {
         let arb = UplinkArbiter::new(100);
-        assert_eq!(arb.grants(&[60, 60, 60, 60]), vec![25, 25, 25, 25]);
+        assert_eq!(grants(&arb, &[60, 60, 60, 60]), vec![25, 25, 25, 25]);
         // Indivisible remainder lands deterministically on the claimants
         // served last in the sorted order.
-        let g = arb.grants(&[60, 60, 60]);
+        let g = grants(&arb, &[60, 60, 60]);
         assert_eq!(g.iter().sum::<u64>(), 100);
         assert_eq!(g, vec![33, 33, 34]);
     }

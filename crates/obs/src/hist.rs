@@ -1,4 +1,4 @@
-//! HDR-style latency histograms with a byte-stable binary encoding.
+//! HDR-style latency histograms.
 //!
 //! [`HdrHistogram`] is a thin layer over `resex-simcore`'s log-linear
 //! [`Histogram`] — the bucket math (and therefore every quantile and
@@ -8,9 +8,6 @@
 //! of the simcore core it adds:
 //!
 //! * the percentile set the SLO story needs (p50/p90/p99/p99.9),
-//! * a byte-stable binary [`HdrHistogram::encode`]/[`HdrHistogram::decode`]
-//!   pair (sparse buckets, little-endian, floats as raw bits) so encoded
-//!   histograms can be diffed, merged offline, and shipped in artifacts,
 //! * [`HdrHistogram::bucket_bounds`], the contract tests use to assert
 //!   "within one bucket of the exact quantile".
 //!
@@ -18,11 +15,7 @@
 //! the whole `u64` range, so a million-request run costs the same bytes
 //! as a thousand-request run.
 
-use resex_simcore::stats::{Histogram, OnlineStats};
-use std::fmt;
-
-/// Magic prefix of the binary encoding (version 1).
-const MAGIC: &[u8; 4] = b"RXH1";
+use resex_simcore::stats::Histogram;
 
 /// A mergeable, fixed-memory latency histogram (values in nanoseconds by
 /// convention, though the type is unit-agnostic).
@@ -43,29 +36,6 @@ pub struct LatencyPercentiles {
     /// 99.9th percentile.
     pub p999: u64,
 }
-
-/// Why a byte slice failed to decode as a histogram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// The magic prefix is missing or names an unknown version.
-    BadMagic,
-    /// The input ended before the declared content.
-    Truncated,
-    /// A field is structurally invalid (bad resolution, index range).
-    Invalid(&'static str),
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::BadMagic => write!(f, "bad magic (not an RXH1 histogram)"),
-            CodecError::Truncated => write!(f, "truncated histogram encoding"),
-            CodecError::Invalid(what) => write!(f, "invalid histogram encoding: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 impl HdrHistogram {
     /// Creates a histogram with the given sub-bucket resolution (per
@@ -161,69 +131,6 @@ impl HdrHistogram {
     pub fn clear(&mut self) {
         self.inner.clear();
     }
-
-    /// Encodes the histogram to a byte-stable binary form: identical
-    /// histogram state always produces identical bytes (little-endian
-    /// integers, floats as raw IEEE-754 bits, buckets sparse and in index
-    /// order). Layout:
-    ///
-    /// ```text
-    /// "RXH1" | u32 sub_buckets | u64 underflow
-    ///        | u64 n | f64 mean | f64 m2 | f64 min | f64 max   (raw bits)
-    ///        | u32 n_buckets | n_buckets × (u32 index, u64 count)
-    /// ```
-    pub fn encode(&self) -> Vec<u8> {
-        let buckets: Vec<(usize, u64)> = self.inner.iter_indexed().collect();
-        let mut out = Vec::with_capacity(4 + 4 + 8 + 5 * 8 + 4 + buckets.len() * 12);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.inner.sub_buckets().to_le_bytes());
-        out.extend_from_slice(&self.inner.underflow().to_le_bytes());
-        let s = self.inner.stats();
-        out.extend_from_slice(&s.count().to_le_bytes());
-        for f in [s.mean(), s.m2(), s.min(), s.max()] {
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(buckets.len() as u32).to_le_bytes());
-        for (idx, count) in buckets {
-            out.extend_from_slice(&(idx as u32).to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes an [`HdrHistogram::encode`] byte string. Round-trips
-    /// bit-exactly: `decode(encode(h))` has the same counts, quantiles,
-    /// and running stats (to the last bit) as `h`.
-    pub fn decode(bytes: &[u8]) -> Result<HdrHistogram, CodecError> {
-        let mut r = Reader { bytes, at: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let sub_buckets = r.u32()?;
-        if !sub_buckets.is_power_of_two() {
-            return Err(CodecError::Invalid("sub_buckets not a power of two"));
-        }
-        let underflow = r.u64()?;
-        let n = r.u64()?;
-        let mean = f64::from_bits(r.u64()?);
-        let m2 = f64::from_bits(r.u64()?);
-        let min = f64::from_bits(r.u64()?);
-        let max = f64::from_bits(r.u64()?);
-        let n_buckets = r.u32()? as usize;
-        let max_idx = (64 * sub_buckets) as usize;
-        let mut buckets = Vec::with_capacity(n_buckets);
-        for _ in 0..n_buckets {
-            let idx = r.u32()? as usize;
-            if idx >= max_idx {
-                return Err(CodecError::Invalid("bucket index out of range"));
-            }
-            buckets.push((idx, r.u64()?));
-        }
-        let stats = OnlineStats::from_parts(n, mean, m2, min, max);
-        Ok(HdrHistogram {
-            inner: Histogram::from_parts(sub_buckets, buckets, underflow, stats),
-        })
-    }
 }
 
 impl Default for HdrHistogram {
@@ -232,90 +139,9 @@ impl Default for HdrHistogram {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.at.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> HdrHistogram {
-        let mut h = HdrHistogram::with_default_resolution();
-        for v in [0u64, 1, 200, 209_000, 209_500, 350_000, 5_000_000] {
-            h.record(v);
-        }
-        h
-    }
-
-    #[test]
-    fn encode_decode_round_trips_bit_exactly() {
-        let h = sample();
-        let bytes = h.encode();
-        let d = HdrHistogram::decode(&bytes).expect("decodes");
-        assert_eq!(d.count(), h.count());
-        assert_eq!(d.min(), h.min());
-        assert_eq!(d.max(), h.max());
-        assert_eq!(d.mean().to_bits(), h.mean().to_bits());
-        assert_eq!(d.std_dev().to_bits(), h.std_dev().to_bits());
-        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(d.quantile(q), h.quantile(q), "q={q}");
-        }
-        // Byte-stability: re-encoding the decoded histogram reproduces the
-        // original bytes exactly.
-        assert_eq!(d.encode(), bytes);
-    }
-
-    #[test]
-    fn empty_histogram_round_trips() {
-        let h = HdrHistogram::new(64);
-        let d = HdrHistogram::decode(&h.encode()).expect("decodes");
-        assert_eq!(d.count(), 0);
-        assert_eq!(d.quantile(0.99), 0);
-        assert_eq!(d.encode(), h.encode());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(
-            HdrHistogram::decode(b"nope").unwrap_err(),
-            CodecError::BadMagic
-        );
-        let mut bytes = sample().encode();
-        bytes.truncate(bytes.len() - 3);
-        assert_eq!(
-            HdrHistogram::decode(&bytes).unwrap_err(),
-            CodecError::Truncated
-        );
-        // Corrupt the resolution field.
-        let mut bytes = sample().encode();
-        bytes[4..8].copy_from_slice(&7u32.to_le_bytes());
-        assert!(matches!(
-            HdrHistogram::decode(&bytes).unwrap_err(),
-            CodecError::Invalid(_)
-        ));
-    }
 
     #[test]
     fn merge_is_order_independent() {
@@ -332,7 +158,13 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab.count(), ba.count());
-        assert_eq!(ab.encode(), ba.encode(), "merge must commute byte-exactly");
+        assert!(
+            ab.iter_buckets().eq(ba.iter_buckets()),
+            "merge must commute bucket for bucket"
+        );
+        assert_eq!(ab.mean().to_bits(), ba.mean().to_bits());
+        assert_eq!(ab.std_dev().to_bits(), ba.std_dev().to_bits());
+        assert_eq!((ab.min(), ab.max()), (ba.min(), ba.max()));
     }
 
     #[test]

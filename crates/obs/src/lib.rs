@@ -41,7 +41,7 @@ pub mod snapshot;
 pub mod trace;
 
 pub use chrome::export_chrome_trace;
-pub use hist::{CodecError, HdrHistogram, LatencyPercentiles};
+pub use hist::{HdrHistogram, LatencyPercentiles};
 pub use metrics::{MetricKind, MetricSample, MetricsRegistry};
 pub use profiler::{CalendarStats, FrameStats, Profile, Profiler};
 pub use slo::SloMonitor;

@@ -20,7 +20,7 @@
 //! use.
 //!
 //! Determinism is identical to the rest of the workspace: shards advance
-//! via a positional parallel map (output order = input order), every
+//! in place, each on its own slot of the shard vector, every
 //! barrier decision is made sequentially in host order from per-shard
 //! deterministic state, and per-host RNG seeds are forked from the rack
 //! seed by host index. The same rack on 1 thread and N threads produces
@@ -30,9 +30,9 @@ use crate::metrics::RunMetrics;
 use crate::scenario::{ScenarioConfig, VmSpec};
 use crate::world::{ObservedRun, World};
 use rayon::prelude::*;
-use resex_fabric::{FabricConfig, RackTopology, Topology, UplinkArbiter};
+use resex_fabric::{FabricConfig, RackTopology, Topology, UplinkArbiter, UplinkFlow};
 use resex_obs::Profile;
-use resex_simcore::time::{SimDuration, SimTime};
+use resex_simcore::time::SimDuration;
 use resex_simcore::{conservative_horizon, LinkChannel, ShardStats};
 
 /// A rack experiment: how many hosts, how dense, how long.
@@ -216,39 +216,36 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
 
     let mut channels: Vec<LinkChannel<(u32, u64)>> =
         (0..topo.tors()).map(|_| LinkChannel::new()).collect();
+    // Barrier scratch, reused every window: the barrier allocates nothing.
+    let mut flows: Vec<UplinkFlow> = Vec::new();
+    let arb = UplinkArbiter::new(window_bytes);
     let mut windows = 0u64;
     let mut oversub_windows = 0u64;
 
     loop {
         // Conservative horizon: earliest next event anywhere + quantum.
-        let nexts: Vec<Option<SimTime>> =
-            shards.iter().map(|s| s.world.next_event_time()).collect();
-        let Some(horizon) = conservative_horizon(nexts.iter().copied(), quantum) else {
+        let nexts = shards.iter().map(|s| s.world.next_event_time());
+        let Some(horizon) = conservative_horizon(nexts, quantum) else {
             break; // every shard has fired End
         };
-        for (s, n) in shards.iter_mut().zip(&nexts) {
+        for s in shards.iter_mut() {
             if s.done {
                 continue;
             }
             s.stats.windows += 1;
-            if n.is_none_or(|t| t > horizon) {
+            if s.world.next_event_time().is_none_or(|t| t > horizon) {
                 s.stats.stalls += 1;
             }
         }
         windows += 1;
 
-        // Advance all shards to the horizon on the work-stealing pool.
-        // Positional collect: shard i stays at index i regardless of
-        // which worker stepped it.
-        shards = shards
-            .into_par_iter()
-            .map(|mut s| {
-                if !s.done {
-                    s.done = s.world.step_until(horizon);
-                }
-                s
-            })
-            .collect();
+        // Advance all shards to the horizon on the work-stealing pool,
+        // each in place: no shard (or its World) moves.
+        shards.par_iter_mut().for_each(|s| {
+            if !s.done {
+                s.done = s.world.step_until(horizon);
+            }
+        });
 
         // Barrier: publish each spine-using host's egress demand into its
         // ToR's channel (host order), then arbitrate every uplink.
@@ -261,40 +258,40 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
         }
         let mut any_oversub = false;
         for ch in channels.iter_mut() {
-            let msgs = ch.drain_until(horizon);
-            if msgs.is_empty() {
+            flows.clear();
+            flows.extend(ch.drain_until(horizon).map(|m| UplinkFlow {
+                id: m.payload.0,
+                demand: m.payload.1,
+                grant: 0,
+            }));
+            if flows.is_empty() {
                 continue;
             }
-            let demands: Vec<u64> = msgs.iter().map(|m| m.payload.1).collect();
-            let arb = UplinkArbiter::new(window_bytes);
-            if arb.oversubscribed(&demands) {
+            let oversub = arb.oversubscribed(flows.iter().map(|f| &f.demand));
+            if oversub {
                 any_oversub = true;
-                let grants = arb.grants(&demands);
-                for (m, &g) in msgs.iter().zip(&grants) {
-                    let host = m.payload.0 as usize;
-                    if m.payload.1 == 0 {
-                        // No demand this window: nothing to throttle.
-                        if shards[host].shaped {
-                            shards[host].world.shape_server_egress(None);
-                            shards[host].shaped = false;
-                        }
-                        continue;
+                // Hosts are independent, so shaping them in the (demand,
+                // host) order the arbiter sorts them into changes no rate.
+                arb.arbitrate(&mut flows);
+            }
+            for f in &flows {
+                let shard = &mut shards[f.id as usize];
+                if !oversub || f.demand == 0 {
+                    // Uncontended, or no demand this window: nothing to
+                    // throttle.
+                    if shard.shaped {
+                        shard.world.shape_server_egress(None);
+                        shard.shaped = false;
                     }
-                    // Grant in bytes/window → bytes/sec, split evenly
-                    // across the host's server flows.
-                    let host_bps = (g as u128 * 1_000_000_000 / quantum.as_nanos() as u128) as u64;
-                    let per_qp = (host_bps / cfg.vms_per_host as u64).max(MIN_GRANT_BPS);
-                    shards[host].world.shape_server_egress(Some(per_qp));
-                    shards[host].shaped = true;
+                    continue;
                 }
-            } else {
-                for m in &msgs {
-                    let host = m.payload.0 as usize;
-                    if shards[host].shaped {
-                        shards[host].world.shape_server_egress(None);
-                        shards[host].shaped = false;
-                    }
-                }
+                // Grant in bytes/window → bytes/sec, split evenly across
+                // the host's server flows.
+                let host_bps =
+                    (f.grant as u128 * 1_000_000_000 / quantum.as_nanos() as u128) as u64;
+                let per_qp = (host_bps / cfg.vms_per_host as u64).max(MIN_GRANT_BPS);
+                shard.world.shape_server_egress(Some(per_qp));
+                shard.shaped = true;
             }
         }
         if any_oversub {

@@ -1520,7 +1520,7 @@ impl World {
         if let Some(key) = pending.timeout {
             self.queue.cancel(key);
         }
-        let act = self.clients[ci].client.on_response(pending.req.sent_at, t);
+        let act = self.clients[ci].client.on_response(t);
         self.apply_client_action(ci, act, t);
     }
 

@@ -18,7 +18,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 /// Per-shard accounting the sharded driver reports alongside run metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
@@ -125,14 +125,13 @@ impl<T> LinkChannel<T> {
         self.msgs.front().map(|m| m.at)
     }
 
-    /// Removes and returns every message with `at ≤ horizon`, in FIFO
-    /// order.
-    pub fn drain_until(&mut self, horizon: SimTime) -> Vec<LinkMsg<T>> {
-        let mut out = Vec::new();
-        while self.msgs.front().is_some_and(|m| m.at <= horizon) {
-            out.push(self.msgs.pop_front().expect("front checked"));
-        }
-        out
+    /// Removes every message with `at ≤ horizon` and yields them in FIFO
+    /// order. Draining allocates nothing; messages the caller does not
+    /// consume are dropped with the iterator.
+    pub fn drain_until(&mut self, horizon: SimTime) -> vec_deque::Drain<'_, LinkMsg<T>> {
+        // Sends are time-ordered, so the due messages are a prefix.
+        let due = self.msgs.partition_point(|m| m.at <= horizon);
+        self.msgs.drain(..due)
     }
 
     /// Undelivered messages currently queued.
@@ -205,14 +204,14 @@ mod tests {
         ch.send(t(10), "b");
         ch.send(t(30), "c");
         assert_eq!(ch.next_arrival(), Some(t(10)));
-        let first = ch.drain_until(t(10));
+        let first: Vec<_> = ch.drain_until(t(10)).collect();
         assert_eq!(
             first.iter().map(|m| m.payload).collect::<Vec<_>>(),
             ["a", "b"]
         );
         assert!(first[0].seq < first[1].seq, "equal-time sends keep order");
         assert_eq!(ch.len(), 1);
-        let rest = ch.drain_until(t(100));
+        let rest: Vec<_> = ch.drain_until(t(100)).collect();
         assert_eq!(rest[0].payload, "c");
         assert!(ch.is_empty());
     }

@@ -106,26 +106,6 @@ impl OnlineStats {
         self.max
     }
 
-    /// Raw second central moment (Welford's `M2`). Exposed so external
-    /// codecs can round-trip the accumulator bit-exactly.
-    pub fn m2(&self) -> f64 {
-        self.m2
-    }
-
-    /// Reconstructs an accumulator from its raw parts — the inverse of
-    /// reading `count`/`mean`/`m2`/`min`/`max`. Used by byte-stable
-    /// histogram encodings; feeding back unmodified parts reproduces the
-    /// original state bit-exactly.
-    pub fn from_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        OnlineStats {
-            n,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
@@ -161,7 +141,6 @@ pub struct Histogram {
     sub_buckets: u32,
     counts: Vec<u64>,
     total: u64,
-    underflow: u64,
     stats: OnlineStats,
 }
 
@@ -178,7 +157,6 @@ impl Histogram {
             // 64 octaves cover the full u64 range.
             counts: vec![0; (64 * sub_buckets) as usize],
             total: 0,
-            underflow: 0,
             stats: OnlineStats::new(),
         }
     }
@@ -193,26 +171,9 @@ impl Histogram {
         self.sub_buckets
     }
 
-    /// Number of recorded zero values (kept separately for codecs).
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// The exact running statistics over every recorded value.
     pub fn stats(&self) -> &OnlineStats {
         &self.stats
-    }
-
-    /// Iterates non-empty buckets as `(bucket_index, count)` pairs, in
-    /// index (= value) order. The index form — unlike
-    /// [`Histogram::iter_buckets`] — is lossless, so a codec can rebuild
-    /// the exact bucket array via [`Histogram::from_parts`].
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
     }
 
     /// The half-open bucket interval `[low, high)` that contains `v`.
@@ -223,30 +184,6 @@ impl Histogram {
     pub fn bucket_bounds(&self, v: u64) -> (u64, u64) {
         let idx = self.bucket_index(v);
         (self.bucket_low(idx), self.bucket_low(idx + 1))
-    }
-
-    /// Rebuilds a histogram from the parts exposed by
-    /// [`Histogram::iter_indexed`] / [`Histogram::underflow`] /
-    /// [`Histogram::stats`]. Total count is recomputed from the buckets.
-    ///
-    /// # Panics
-    /// If `sub_buckets` is not a power of two or a bucket index is out of
-    /// range for that resolution.
-    pub fn from_parts(
-        sub_buckets: u32,
-        buckets: impl IntoIterator<Item = (usize, u64)>,
-        underflow: u64,
-        stats: OnlineStats,
-    ) -> Self {
-        let mut h = Histogram::new(sub_buckets);
-        for (idx, count) in buckets {
-            assert!(idx < h.counts.len(), "bucket index {idx} out of range");
-            h.counts[idx] += count;
-            h.total += count;
-        }
-        h.underflow = underflow;
-        h.stats = stats;
-        h
     }
 
     fn bucket_index(&self, v: u64) -> usize {
@@ -277,9 +214,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.total += 1;
         self.stats.push(v as f64);
-        if v == 0 {
-            self.underflow += 1;
-        }
     }
 
     /// Number of recorded values.
@@ -372,7 +306,6 @@ impl Histogram {
             *a += b;
         }
         self.total += other.total;
-        self.underflow += other.underflow;
         self.stats.merge(&other.stats);
     }
 
@@ -380,7 +313,6 @@ impl Histogram {
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.total = 0;
-        self.underflow = 0;
         self.stats.clear();
     }
 }
@@ -565,43 +497,6 @@ mod tests {
         assert_eq!(total, 6);
         // 150 and 155 land in the second bin [150, 200).
         assert_eq!(bins[1].1, 2);
-    }
-
-    #[test]
-    fn stats_from_parts_round_trips_bit_exactly() {
-        let mut s = OnlineStats::new();
-        for x in [3.0, 1.0, 4.0, 1.0, 5.0] {
-            s.push(x);
-        }
-        let r = OnlineStats::from_parts(s.count(), s.mean(), s.m2(), s.min(), s.max());
-        assert_eq!(r.count(), s.count());
-        assert_eq!(r.mean().to_bits(), s.mean().to_bits());
-        assert_eq!(r.m2().to_bits(), s.m2().to_bits());
-        assert_eq!(r.min().to_bits(), s.min().to_bits());
-        assert_eq!(r.max().to_bits(), s.max().to_bits());
-        // Empty accumulators round-trip too (±inf extremes included).
-        let e = OnlineStats::new();
-        let r = OnlineStats::from_parts(e.count(), 0.0, 0.0, e.min(), e.max());
-        assert_eq!(r.min(), f64::INFINITY);
-        assert_eq!(r.max(), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn histogram_from_parts_round_trips() {
-        let mut h = Histogram::new(32);
-        for v in [0u64, 1, 31, 32, 209_000, 1_000_000, u64::MAX / 3] {
-            h.record(v);
-        }
-        let r = Histogram::from_parts(h.sub_buckets(), h.iter_indexed(), h.underflow(), *h.stats());
-        assert_eq!(r.count(), h.count());
-        assert_eq!(r.underflow(), h.underflow());
-        assert_eq!(r.quantile(0.5), h.quantile(0.5));
-        assert_eq!(r.quantile(0.99), h.quantile(0.99));
-        assert_eq!(
-            r.iter_indexed().collect::<Vec<_>>(),
-            h.iter_indexed().collect::<Vec<_>>()
-        );
-        assert_eq!(r.mean().to_bits(), h.mean().to_bits());
     }
 
     #[test]

@@ -22,13 +22,20 @@
 //! Registering a memory region pins its pages but does not back them:
 //! page storage arrives with the first write, so a large MR that is
 //! never written costs almost no heap.
+//!
+//! The rack runner steps its shards in place and reuses its barrier
+//! scratch, so the thread that calls `run_rack` allocates next to nothing
+//! per sync window beyond its share of the shards' own simulation: about
+//! 1 KB per window for the test rack. Moving every shard through a
+//! parallel map and collect instead costs ~32 KB per window on that
+//! thread, so the 8 KiB budget sits about 4x from both.
 
 use resex_benchex::TraceProfile;
 use resex_fabric::{
     Access, CompletionQueue, CqNum, Cqe, Fabric, Opcode, QpNum, WcStatus, CQE_SIZE,
 };
 use resex_ibmon::CqMonitor;
-use resex_platform::{run_scenario, PolicyKind, ScenarioConfig, World};
+use resex_platform::{run_rack, run_scenario, PolicyKind, RackConfig, ScenarioConfig, World};
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simmem::{ForeignMapping, MemoryHandle};
 
@@ -158,4 +165,46 @@ fn registering_a_large_mr_backs_no_pages() {
         "registering a 2 MiB MR allocated {bytes} bytes"
     );
     assert!(mem.with_read(|m| m.is_pinned(gpa, MR as usize)));
+}
+
+/// Bytes the calling thread allocates in `run_rack` over a rack of eight
+/// one-VM hosts simulated for `ms`, and the windows it stepped. Two ToRs
+/// of four: one pairs inside itself, the other rides the spine, so every
+/// barrier also drains and arbitrates an uplink.
+fn rack_caller_bytes(ms: u64) -> (u64, u64) {
+    let mut cfg = RackConfig::new(8);
+    cfg.topology.hosts_per_tor = 4;
+    cfg.vms_per_host = 1;
+    cfg.duration = SimDuration::from_millis(ms);
+    cfg.warmup = SimDuration::from_millis(5);
+    let (_, before) = resex_obs::alloc::thread_counters();
+    let run = run_rack(&cfg);
+    let (_, after) = resex_obs::alloc::thread_counters();
+    (after.wrapping_sub(before), run.windows)
+}
+
+#[test]
+fn rack_windows_allocate_almost_nothing_on_the_caller() {
+    if rayon::current_num_threads() <= 1 {
+        return; // one thread: the by-value map collects in place anyway
+    }
+    // The shards are built on the pool, so the caller's share of the
+    // build varies run to run by whole Worlds (~1 MB each). A long and a
+    // short span of the same rack differ only in windows; the median of
+    // five differences keeps one lopsided build split from deciding.
+    let mut per_window: Vec<f64> = (0..5)
+        .map(|_| {
+            let (short, short_windows) = rack_caller_bytes(10);
+            let (long, long_windows) = rack_caller_bytes(210);
+            assert!(long_windows >= short_windows + 300, "spans too close");
+            (long as f64 - short as f64) / (long_windows - short_windows) as f64
+        })
+        .collect();
+    per_window.sort_by(f64::total_cmp);
+    let median = per_window[2];
+    assert!(
+        median < 8192.0,
+        "the rack caller allocated {median:.0} bytes per window \
+         (samples {per_window:.0?}): are shards moved by value again?"
+    );
 }

@@ -1,6 +1,6 @@
 //! Tier-1 tests for the vendored rayon work-stealing pool itself:
-//! positional results, nesting, panic propagation, and genuine
-//! multi-thread execution. (The vendor tree is excluded from the
+//! positional results, nesting, panic propagation, genuine multi-thread
+//! execution, and one thread per unit of width. (The vendor tree is excluded from the
 //! workspace, so its behaviour is pinned here.)
 //!
 //! The whole binary forces a 4-wide pool before first use — wider than
@@ -132,4 +132,44 @@ fn panics_propagate_to_the_caller() {
         .collect();
     assert_eq!(sum.len(), 100);
     assert_eq!(calls.load(Ordering::Relaxed), 100);
+}
+
+#[test]
+fn par_iter_mut_updates_every_element_in_place() {
+    pool4();
+    let mut data: Vec<u64> = (0..257).collect();
+    data.par_iter_mut().for_each(|x| *x = *x * 3 + 1);
+    let expected: Vec<u64> = (0..257).map(|x| x * 3 + 1).collect();
+    assert_eq!(data, expected);
+}
+
+/// Pool workers alive in this process, counted by thread name.
+fn worker_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("resex-worker-"))
+        .count()
+}
+
+#[test]
+fn width_n_runs_n_minus_one_workers() {
+    pool4();
+    let width = rayon::current_num_threads();
+    if width <= 1 || !cfg!(target_os = "linux") {
+        return; // no workers at width 1; thread names read from procfs
+    }
+    // Workers name themselves once running: wait for the expected count,
+    // then give any surplus worker time to show up before counting.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while worker_threads() < width - 1 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert_eq!(
+        worker_threads(),
+        width - 1,
+        "a width-{width} pool must run {} workers besides the helping caller",
+        width - 1
+    );
 }
