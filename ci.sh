@@ -51,8 +51,10 @@ echo "==> cargo test -q --workspace (superset of tier-1)"
 cargo test -q --offline --workspace
 
 REPRO=./target/release/repro
-# Pool width for the parallel legs: the host's cores, but at least 4 so
-# cross-thread stealing is exercised even on small CI hosts.
+# Pool width for the determinism replays: the host's cores, but at least 4
+# so cross-thread stealing is exercised even on small CI hosts. The timed
+# sweep and rack legs run one pool thread per core ($CORES), the width the
+# pool is built for: an oversubscribed pool times its own contention.
 PAR_THREADS="${RESEX_PAR_THREADS:-$(nproc)}"
 if [ "$PAR_THREADS" -lt 4 ]; then PAR_THREADS=4; fi
 CORES=$(nproc)
@@ -153,11 +155,11 @@ grep -q "violations=0" "$TMP/chaos.txt" || {
     echo "    FAIL: unexpected chaos report:"; cat "$TMP/chaos.txt"; exit 1; }
 sed -n 's/^chaos:/    /p' "$TMP/chaos.txt"
 
-echo "==> sweep wall-clock: repro all --quick (per-target timings below)"
+echo "==> sweep wall-clock: repro all --quick, RESEX_THREADS=1 vs $CORES (per-target timings below)"
 t0=$(date +%s.%N)
 RESEX_THREADS=1 "$REPRO" all --quick >/dev/null
 t1=$(date +%s.%N)
-RESEX_THREADS="$PAR_THREADS" "$REPRO" all --quick >/dev/null
+RESEX_THREADS="$CORES" "$REPRO" all --quick >/dev/null
 t2=$(date +%s.%N)
 
 echo "==> rack scaling: repro rack --quick (128-host sharded rack), RESEX_THREADS=1 vs $CORES, best of 3"
@@ -181,7 +183,7 @@ RACK_HOSTS=$(grep -o '"hosts": [0-9]*' "$TMP/rack_seq.json" | head -1 | awk '{pr
 
 GIT_REV="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 awk -v t0="$t0" -v t1="$t1" -v t2="$t2" -v times="$RACK_TIMES" \
-    -v par="$PAR_THREADS" -v cores="$CORES" -v rev="$GIT_REV" -v hosts="$RACK_HOSTS" '
+    -v cores="$CORES" -v rev="$GIT_REV" -v hosts="$RACK_HOSTS" '
 BEGIN {
     seq = t1 - t0; parallel = t2 - t1;
     # times holds r0 r1 r2 per run; each leg keeps its fastest run.
@@ -191,12 +193,12 @@ BEGIN {
         if (i == 1 || r[i + 2] - r[i + 1] < rpar) rpar = r[i + 2] - r[i + 1];
     }
     printf "    sweep sequential (RESEX_THREADS=1):   %6.2f s\n", seq;
-    printf "    sweep parallel   (RESEX_THREADS=%d):   %6.2f s\n", par, parallel;
+    printf "    sweep parallel   (RESEX_THREADS=%d):   %6.2f s\n", cores, parallel;
     printf "    sweep speedup: %.2fx on %d core(s)\n", seq / parallel, cores;
     printf "    rack  sequential (RESEX_THREADS=1):   %6.2f s  (%.1f hosts/s)\n", rseq, hosts / rseq;
     printf "    rack  parallel   (RESEX_THREADS=%d):   %6.2f s  (%.1f hosts/s)\n", cores, rpar, hosts / rpar;
     printf "    rack  speedup: %.2fx on %d core(s)\n", rseq / rpar, cores;
-    printf "{\n  \"bench\": \"repro all --quick\",\n  \"git_rev\": \"%s\",\n  \"flags\": \"all --quick\",\n  \"cores\": %d,\n  \"threads_parallel\": %d,\n  \"sequential_s\": %.3f,\n  \"parallel_s\": %.3f,\n  \"speedup\": %.3f,\n  \"rack\": {\n    \"bench\": \"repro rack --quick\",\n    \"hosts\": %d,\n    \"threads_parallel\": %d,\n    \"sequential_s\": %.3f,\n    \"parallel_s\": %.3f,\n    \"hosts_per_s_sequential\": %.1f,\n    \"hosts_per_s_parallel\": %.1f,\n    \"speedup\": %.3f\n  }\n}\n", rev, cores, par, seq, parallel, seq / parallel, hosts, cores, rseq, rpar, hosts / rseq, hosts / rpar, rseq / rpar > "'"$TMP"'/BENCH_sweep.json";
+    printf "{\n  \"bench\": \"repro all --quick\",\n  \"git_rev\": \"%s\",\n  \"flags\": \"all --quick\",\n  \"cores\": %d,\n  \"threads_parallel\": %d,\n  \"sequential_s\": %.3f,\n  \"parallel_s\": %.3f,\n  \"speedup\": %.3f,\n  \"rack\": {\n    \"bench\": \"repro rack --quick\",\n    \"hosts\": %d,\n    \"threads_parallel\": %d,\n    \"sequential_s\": %.3f,\n    \"parallel_s\": %.3f,\n    \"hosts_per_s_sequential\": %.1f,\n    \"hosts_per_s_parallel\": %.1f,\n    \"speedup\": %.3f\n  }\n}\n", rev, cores, cores, seq, parallel, seq / parallel, hosts, cores, rseq, rpar, hosts / rseq, hosts / rpar, rseq / rpar > "'"$TMP"'/BENCH_sweep.json";
 }'
 echo "    staged BENCH_sweep.json (rack leg byte-identical across pool widths)"
 

@@ -84,14 +84,6 @@ impl DecisionJournal {
         self.records.is_empty()
     }
 
-    /// The index of the most recently journaled interval, if any.
-    pub fn last_interval_index(&self) -> Option<u64> {
-        self.records.iter().rev().find_map(|r| match r {
-            JournalRecord::Interval { index, .. } => Some(*index),
-            _ => None,
-        })
-    }
-
     /// The most recently journaled account for `vm`, if any interval
     /// recorded it. This funds a crashed VM's re-admission.
     pub fn last_balance(&self, vm: VmId) -> Option<ResoAccount> {

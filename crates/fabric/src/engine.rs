@@ -403,11 +403,6 @@ impl Fabric {
         self.recovery = true;
     }
 
-    /// True if [`Fabric::enable_recovery`] was called.
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery
-    }
-
     /// Number of QPs currently broken and awaiting reconnection.
     pub fn broken_qp_count(&self) -> usize {
         self.cm.len()
@@ -1103,33 +1098,20 @@ impl Fabric {
                     }
                 }
                 n.counters.busy += dur;
-                if self.tracer.enabled() {
-                    self.tracer.complete(
-                        now,
-                        dur,
-                        subsystem::FABRIC_LINK,
-                        "grant",
-                        Scope::Qp(plan.job.qp.raw()),
-                        vec![
-                            ("bytes", plan.bytes.into()),
-                            ("mtus", plan.mtus.into()),
-                            ("first", plan.is_first.into()),
-                            ("finishes_job", plan.job_finished.into()),
-                        ],
-                    );
-                }
+                let chunk = (plan.bytes, plan.mtus, plan.is_first, plan.job_finished);
+                self.trace_grant(now, dur, plan.job.qp, chunk);
                 // Batched fast path: a multi-grant transfer on an otherwise
                 // idle, unlimited, fault- and jitter-free link serializes
                 // its chunks back-to-back with no other event able to run
                 // between them, so the per-chunk `GrantDone` events are
                 // collapsed into a single `BatchDone` at the transfer's
                 // end. `settle_node` replays the chunks at their historical
-                // times if anything touches the link before then.
+                // times (and their trace records) if anything touches the
+                // link before then.
                 let batchable = allow_batch
                     && !plan.job_finished
                     && self.cfg.hw_jitter == 0.0
                     && self.faults.is_none()
-                    && !self.tracer.enabled()
                     && self.nodes.len() == 2
                     && !matches!(plan.job.kind, JobKind::McastSend { .. } | JobKind::UdSend)
                     && {
@@ -1191,20 +1173,72 @@ impl Fabric {
         }
     }
 
+    /// Records the `grant` span of a `(bytes, mtus, first, finishes_job)`
+    /// chunk that starts serializing at `start` and takes `dur`. Inlined
+    /// so an untraced grant pays one branch, not a call.
+    #[inline(always)]
+    fn trace_grant(
+        &self,
+        start: SimTime,
+        dur: SimDuration,
+        qp: QpNum,
+        (bytes, mtus, first, finishes_job): (u32, u32, bool, bool),
+    ) {
+        if self.tracer.enabled() {
+            self.tracer.complete(
+                start,
+                dur,
+                subsystem::FABRIC_LINK,
+                "grant",
+                Scope::Qp(qp.raw()),
+                vec![
+                    ("bytes", bytes.into()),
+                    ("mtus", mtus.into()),
+                    ("first", first.into()),
+                    ("finishes_job", finishes_job.into()),
+                ],
+            );
+        }
+    }
+
+    /// Records the counters a chunk's completion at `t` leaves behind:
+    /// the QP's lifetime egress bytes and the node's unserialized backlog.
+    #[inline(always)]
+    fn trace_chunk_done(&self, t: SimTime, node: NodeId, qp: QpNum, qp_bytes: u64, backlog: u64) {
+        if self.tracer.enabled() {
+            let link = subsystem::FABRIC_LINK;
+            let (qp, node) = (Scope::Qp(qp.raw()), Scope::Node(node.raw()));
+            self.tracer
+                .counter(t, link, "egress_bytes", qp, qp_bytes as f64);
+            self.tracer
+                .counter(t, link, "queue_depth_bytes", node, backlog as f64);
+        }
+    }
+
+    /// Adds one finished chunk to the sender's node and QP counters and
+    /// returns the QP's lifetime bytes and the node's backlog after it.
+    fn count_chunk(&mut self, node: NodeId, plan: &GrantPlan) -> Option<(u64, u64)> {
+        let n = self.nodes.get_mut(node.index())?;
+        n.counters.bytes_sent += plan.bytes as u64;
+        n.counters.mtus_sent += plan.mtus as u64;
+        n.counters.grants += 1;
+        let mut qp_bytes = 0;
+        if let Some(qp) = n.qps.get_mut(&plan.job.qp) {
+            qp.counters.bytes_sent += plan.bytes as u64;
+            qp.counters.mtus_sent += plan.mtus as u64;
+            qp_bytes = qp.counters.bytes_sent;
+        }
+        Some((qp_bytes, n.arbiter.pending_bytes()))
+    }
+
     /// Applies the sender- and ingress-side effects of one completed
     /// serialization chunk at its historical completion time `end` —
-    /// exactly what `on_grant_done` does for a fault-free, untraced chunk.
+    /// exactly what `on_grant_done` does for a fault-free chunk.
     fn apply_batched_chunk(&mut self, node: NodeId, plan: GrantPlan, end: SimTime) {
         let one_way = self.cfg.one_way_latency();
         let chunk_ser = self.cfg.serialization_time(plan.bytes as u64);
-        if let Some(n) = self.nodes.get_mut(node.index()) {
-            n.counters.bytes_sent += plan.bytes as u64;
-            n.counters.mtus_sent += plan.mtus as u64;
-            n.counters.grants += 1;
-            if let Some(qp) = n.qps.get_mut(&plan.job.qp) {
-                qp.counters.bytes_sent += plan.bytes as u64;
-                qp.counters.mtus_sent += plan.mtus as u64;
-            }
+        if let Some((qp_bytes, backlog)) = self.count_chunk(node, &plan) {
+            self.trace_chunk_done(end, node, plan.job.qp, qp_bytes, backlog);
         }
         let arrival = end + one_way;
         let delivery = self.ingress_delivery(plan.job.dst_node, arrival, chunk_ser);
@@ -1230,8 +1264,24 @@ impl Fabric {
         end: SimTime,
         ser: SimDuration,
     ) {
-        let grant_bytes = self.cfg.grant_mtus * self.cfg.mtu_bytes;
-        let (bytes, mtus) = (k * grant_bytes as u64, k * self.cfg.grant_mtus as u64);
+        let (grant_mtus, grant_bytes) = (
+            self.cfg.grant_mtus,
+            self.cfg.grant_mtus * self.cfg.mtu_bytes,
+        );
+        let (bytes, mtus) = (k * grant_bytes as u64, k * grant_mtus as u64);
+        if self.tracer.enabled() {
+            // The records the per-chunk path emits for these chunks: each
+            // one's grant span, then its completion counters.
+            let n = &self.nodes[node.index()];
+            let qp_bytes = n.qps.get(&qp).map_or(0, |q| q.counters.bytes_sent);
+            let backlog = n.arbiter.pending_bytes();
+            for i in 1..=k {
+                let start = end + ser * (i - 1);
+                self.trace_grant(start, ser, qp, (grant_bytes, grant_mtus, false, false));
+                let sent = i * grant_bytes as u64;
+                self.trace_chunk_done(start + ser, node, qp, qp_bytes + sent, backlog - sent);
+            }
+        }
         if let Some(n) = self.nodes.get_mut(node.index()) {
             n.counters.bytes_sent += bytes;
             n.counters.mtus_sent += mtus;
@@ -1256,9 +1306,11 @@ impl Fabric {
     /// `GrantDone` event. Chunk 0 and the final chunk are applied one at a
     /// time; the full chunks between them finish every `ser` and are
     /// applied in one closed-form step, so a settle costs O(1) whatever
-    /// the transfer size. A no-op when no batch is pending. Called from
-    /// the `BatchDone` timer itself and from every operation that could
-    /// observe or mutate link state mid-batch.
+    /// the transfer size; only a traced fabric loops over them, to emit
+    /// the records each chunk would have emitted on its own. A no-op when
+    /// no batch is pending. Called from the `BatchDone` timer itself and
+    /// from every operation that could observe or mutate link state
+    /// mid-batch.
     fn settle_node(&mut self, node: NodeId, upto: SimTime, inclusive: bool) {
         let Some(batch) = self
             .nodes
@@ -1333,6 +1385,8 @@ impl Fabric {
         if let Some(n) = self.nodes.get_mut(node.index()) {
             n.counters.busy += dur;
         }
+        let chunk = (plan.bytes, plan.mtus, plan.is_first, plan.job_finished);
+        self.trace_grant(start, dur, plan.job.qp, chunk);
         end = start + dur;
         if end > upto || (end == upto && !inclusive) {
             // This chunk is on the wire right now: hand it back to the
@@ -1447,39 +1501,11 @@ impl Fabric {
     ) -> Result<(), FabricError> {
         let one_way = self.cfg.one_way_latency();
         let chunk_ser = self.cfg.serialization_time(plan.bytes as u64);
-        {
-            let n = self.nodes.get_mut(node.index()).ok_or_else(|| {
-                FabricError::InternalInconsistency(format!(
-                    "grant completed on unknown node {node}"
-                ))
-            })?;
-            n.counters.bytes_sent += plan.bytes as u64;
-            n.counters.mtus_sent += plan.mtus as u64;
-            n.counters.grants += 1;
-            let mut qp_bytes_total = 0;
-            if let Some(qp) = n.qps.get_mut(&plan.job.qp) {
-                qp.counters.bytes_sent += plan.bytes as u64;
-                qp.counters.mtus_sent += plan.mtus as u64;
-                qp_bytes_total = qp.counters.bytes_sent;
-            }
-            n.link_busy = false;
-            if self.tracer.enabled() {
-                self.tracer.counter(
-                    t,
-                    subsystem::FABRIC_LINK,
-                    "egress_bytes",
-                    Scope::Qp(plan.job.qp.raw()),
-                    qp_bytes_total as f64,
-                );
-                self.tracer.counter(
-                    t,
-                    subsystem::FABRIC_LINK,
-                    "queue_depth_bytes",
-                    Scope::Node(node.raw()),
-                    n.arbiter.pending_bytes() as f64,
-                );
-            }
-        }
+        let (qp_bytes, backlog) = self.count_chunk(node, &plan).ok_or_else(|| {
+            FabricError::InternalInconsistency(format!("grant completed on unknown node {node}"))
+        })?;
+        self.nodes[node.index()].link_busy = false;
+        self.trace_chunk_done(t, node, plan.job.qp, qp_bytes, backlog);
         let arrival = t + one_way;
         // Wire faults are drawn once per fully-serialized message, so a
         // multi-grant transfer has one loss opportunity per attempt, not

@@ -1,14 +1,17 @@
 //! The batched link path against the per-chunk path it replaces.
 //!
-//! An untraced two-node fabric collapses a multi-grant transfer into one
-//! `BatchDone` and settles it in closed form; a traced fabric takes one
-//! `GrantDone` per chunk. Both must be indistinguishable from outside:
+//! A two-node fabric collapses a multi-grant transfer into one
+//! `BatchDone` and settles it in closed form; the reference rig adds a
+//! third, idle node, which trips the fast path's two-node condition, so
+//! it takes one `GrantDone` per chunk. The idle node sends nothing and
+//! cannot move a timing. Both must be indistinguishable from outside:
 //! the same events at the same instants in the same order, the same
-//! counters whenever the batched side is settled, and a `next_time()`
-//! that never sleeps through a visible event. The random scenarios aim
-//! at the places where the closed form can go wrong: operations landing
-//! exactly on chunk boundaries, full and partial last chunks, and the
-//! WQE overhead that only chunk 0 pays.
+//! counters whenever the batched side is settled, the same trace records,
+//! and a `next_time()` that never sleeps through a visible event.
+//! Tracing must not change the batched run at all. The random scenarios
+//! aim at the places where the closed form can go wrong: operations
+//! landing exactly on chunk boundaries, full and partial last chunks, and
+//! the WQE overhead that only chunk 0 pays.
 
 use proptest::prelude::*;
 use resex_fabric::link::FlowParams;
@@ -34,7 +37,8 @@ struct End {
     gpa: Gpa,
 }
 
-/// Two nodes with two connected QP pairs, `a[i]` ↔ `b[i]`.
+/// Two nodes with two connected QP pairs, `a[i]` ↔ `b[i]` (plus the idle
+/// third node in [`Mode::Reference`]).
 struct Rig {
     f: Fabric,
     a: [End; 2],
@@ -42,7 +46,18 @@ struct Rig {
     _mem: [MemoryHandle; 2],
 }
 
-fn rig(cfg: &FabricConfig, tracer: Tracer) -> Rig {
+/// Which execution a run takes.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// The two-node rig, untraced: multi-grant transfers batch.
+    Batched,
+    /// The two-node rig with a memory tracer.
+    Traced,
+    /// The per-chunk reference, traced: the rig plus an idle third node.
+    Reference,
+}
+
+fn rig(cfg: &FabricConfig, mode: Mode, tracer: Tracer) -> Rig {
     let mut f = Fabric::new(cfg.clone()).unwrap();
     f.set_tracer(tracer);
     let mut ends = Vec::new();
@@ -67,6 +82,10 @@ fn rig(cfg: &FabricConfig, tracer: Tracer) -> Rig {
             });
         }
         mems.push(mem);
+    }
+    if mode == Mode::Reference {
+        // Added last, so the rig's nodes keep their ids in trace scopes.
+        f.add_node();
     }
     let (a, b) = ([ends[0], ends[1]], [ends[2], ends[3]]);
     for i in 0..2 {
@@ -124,10 +143,22 @@ fn counters(r: &Rig) -> String {
     format!("{:?} {:?} {qps:?}", node(r.a[0].node), node(r.b[0].node))
 }
 
-/// Runs `script` (sorted by time) and returns what it showed plus the
-/// instant of every wake-up, productive or not.
-fn run(cfg: &FabricConfig, tracer: Tracer, script: &[(SimTime, Op)]) -> (Observed, Vec<SimTime>) {
-    let mut r = rig(cfg, tracer);
+/// What one run shows from outside, the instant of every wake-up,
+/// productive or not, and its trace records as a multiset: sorted by
+/// timestamp, then by content.
+struct Run {
+    seen: Observed,
+    steps: Vec<SimTime>,
+    trace: Vec<(SimTime, String)>,
+}
+
+/// Runs `script` (sorted by time) on the rig `mode` selects.
+fn run(cfg: &FabricConfig, mode: Mode, script: &[(SimTime, Op)]) -> Run {
+    let tracer = match mode {
+        Mode::Batched => Tracer::disabled(),
+        Mode::Traced | Mode::Reference => Tracer::memory(),
+    };
+    let mut r = rig(cfg, mode, tracer.clone());
     let mut obs = Observed {
         timeline: Vec::new(),
         wakes: Vec::new(),
@@ -192,13 +223,45 @@ fn run(cfg: &FabricConfig, tracer: Tracer, script: &[(SimTime, Op)]) -> (Observe
     r.f.settle_links(end);
     obs.counters.push(counters(&r));
     assert_eq!(r.f.internal_error_count(), 0);
-    (obs, steps)
+    let (events, _) = tracer.take_events();
+    let mut trace: Vec<_> = events.iter().map(|e| (e.ts, format!("{e:?}"))).collect();
+    trace.sort();
+    Run {
+        seen: obs,
+        steps,
+        trace,
+    }
+}
+
+/// Checks the batched run of `script` against its traced twin and the
+/// per-chunk reference, and returns the batched and reference runs.
+fn check(cfg: &FabricConfig, script: &[(SimTime, Op)]) -> (Run, Run) {
+    let batched = run(cfg, Mode::Batched, script);
+    let traced = run(cfg, Mode::Traced, script);
+    let reference = run(cfg, Mode::Reference, script);
+    assert!(!reference.seen.timeline.is_empty());
+    assert!(!reference.trace.is_empty());
+    // Tracing observes the batched run without changing it.
+    assert_eq!(batched.seen, traced.seen, "script {script:?}");
+    assert_eq!(batched.steps, traced.steps, "script {script:?}");
+    // Batching is invisible: same outputs, same trace records.
+    assert_eq!(batched.seen, reference.seen, "script {script:?}");
+    assert_eq!(traced.trace, reference.trace, "script {script:?}");
+    // Batching only removes wake-ups: it never adds one or moves one to
+    // another instant.
+    assert!(batched.steps.len() <= reference.steps.len());
+    for t in &batched.steps {
+        assert!(
+            reference.steps.binary_search(t).is_ok(),
+            "batched woke at {t}"
+        );
+    }
+    (batched, reference)
 }
 
 proptest! {
-    /// Batched (untraced) and per-chunk (traced) runs of the same random
-    /// two-node script are indistinguishable, and batching only removes
-    /// wake-ups: it never adds one or moves one to another instant.
+    /// Batched, traced batched and per-chunk runs of the same random
+    /// two-node script are indistinguishable.
     #[test]
     fn batched_link_matches_per_chunk(
         grant_mtus in 2u32..17,
@@ -268,14 +331,7 @@ proptest! {
         // Stable: equal instants keep the order pushed above.
         script.sort_by_key(|&(t, _)| t);
 
-        let (batched, batched_steps) = run(&cfg, Tracer::disabled(), &script);
-        let (per_chunk, per_chunk_steps) = run(&cfg, Tracer::memory(), &script);
-        prop_assert!(!per_chunk.timeline.is_empty());
-        prop_assert_eq!(&batched, &per_chunk, "script {:?}", script);
-        prop_assert!(batched_steps.len() <= per_chunk_steps.len());
-        for t in &batched_steps {
-            prop_assert!(per_chunk_steps.binary_search(t).is_ok(), "batched woke at {}", t);
-        }
+        check(&cfg, &script);
     }
 }
 
@@ -293,11 +349,11 @@ fn a_lone_transfer_is_batched() {
             len,
         },
     )];
-    let (batched, batched_steps) = run(&cfg, Tracer::disabled(), &script);
-    let (per_chunk, per_chunk_steps) = run(&cfg, Tracer::memory(), &script);
-    assert_eq!(batched, per_chunk);
+    let (batched, reference) = check(&cfg, &script);
     assert!(
-        batched_steps.len() + 8 <= per_chunk_steps.len(),
-        "batched {batched_steps:?} vs per-chunk {per_chunk_steps:?}"
+        batched.steps.len() + 8 <= reference.steps.len(),
+        "batched {:?} vs per-chunk {:?}",
+        batched.steps,
+        reference.steps
     );
 }

@@ -171,11 +171,6 @@ impl Hypervisor {
         Ok(self.dom(d)?.mem.clone())
     }
 
-    /// A domain's name.
-    pub fn domain_name(&self, d: DomainId) -> Result<&str, HvError> {
-        Ok(&self.dom(d)?.name)
-    }
-
     /// Whether a domain is privileged.
     pub fn is_privileged(&self, d: DomainId) -> Result<bool, HvError> {
         Ok(self.dom(d)?.privileged)

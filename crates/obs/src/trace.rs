@@ -145,8 +145,6 @@ impl TraceSink for MemorySink {
 pub struct EntityMap {
     /// QP number → VM index.
     pub qp_to_vm: BTreeMap<u32, u32>,
-    /// Fabric node → VM index.
-    pub node_to_vm: BTreeMap<u32, u32>,
     /// Domain id → VM index.
     pub domain_to_vm: BTreeMap<u32, u32>,
     /// VM index → display label.
@@ -159,10 +157,9 @@ impl EntityMap {
         match scope {
             Scope::Vm(v) => Some(v),
             Scope::Qp(q) => self.qp_to_vm.get(&q).copied(),
-            Scope::Node(n) => self.node_to_vm.get(&n).copied(),
             Scope::Domain(d) => self.domain_to_vm.get(&d).copied(),
             Scope::Client(c) => Some(c),
-            Scope::Global => None,
+            Scope::Node(_) | Scope::Global => None,
         }
     }
 }
@@ -217,13 +214,6 @@ impl Tracer {
     pub fn map_qp_to_vm(&self, qp: u32, vm: u32) {
         if let Some(inner) = &self.inner {
             inner.lock().unwrap().entities.qp_to_vm.insert(qp, vm);
-        }
-    }
-
-    /// Registers a fabric node as belonging to a VM.
-    pub fn map_node_to_vm(&self, node: u32, vm: u32) {
-        if let Some(inner) = &self.inner {
-            inner.lock().unwrap().entities.node_to_vm.insert(node, vm);
         }
     }
 

@@ -150,13 +150,6 @@ pub struct ObsOptions {
     pub keep_records: bool,
 }
 
-impl ObsOptions {
-    /// True if any recording is requested.
-    pub fn any(self) -> bool {
-        self.trace || self.metrics
-    }
-}
-
 /// A full experiment description (JSON-serializable; see the `simulate`
 /// binary in `resex-bench` for file-driven runs).
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -271,7 +271,7 @@ impl World {
             cfg.fabric.switch_latency = cfg.topology.one_way_latency(&cfg.fabric);
             cfg.fabric.wire_latency = SimDuration::ZERO;
         }
-        let tracer = if cfg.obs.any() {
+        let tracer = if cfg.obs.trace {
             Tracer::memory()
         } else {
             Tracer::disabled()
@@ -1757,15 +1757,7 @@ impl World {
                 // would have (including the jitter draw), so the calendar
                 // stays aligned for the recovery's catch-up settlement.
                 self.interval_count += 1;
-                let interval = self.cfg.resex.interval;
-                let next = match &mut self.jitter_rng {
-                    Some(rng) => {
-                        let frac = self.cfg.resex.interval_jitter_frac;
-                        interval.mul_f64(1.0 + frac * (rng.next_f64() - 0.5))
-                    }
-                    None => interval,
-                };
-                self.queue.schedule_at(t + next, Ev::ResExInterval);
+                self.schedule_next_interval(t);
                 return;
             }
         }
@@ -1773,14 +1765,12 @@ impl World {
         // egress backlog); settle any pending link batch first so those
         // reads match the chunk-at-a-time execution exactly.
         self.fabric.settle_links(t);
-        let (interval, force_after) = {
-            let cfg = self
-                .manager
-                .as_ref()
-                .expect("tick implies manager")
-                .config();
-            (cfg.interval, cfg.watchdog_actuation_failures)
-        };
+        let force_after = self
+            .manager
+            .as_ref()
+            .expect("tick implies manager")
+            .config()
+            .watchdog_actuation_failures;
         let record_metrics = self.cfg.obs.metrics;
         let profiling = self.profiler.is_enabled();
         let mut snapshots = Vec::with_capacity(self.vms.len());
@@ -1858,35 +1848,37 @@ impl World {
             ));
             self.metrics[i].mtus_trace.push(t, usage.mtus as f64);
 
-            if self.tracer.enabled() {
+            if self.tracer.enabled() || record_metrics {
                 // The platform is the one place that can see both IBMon's
                 // introspected estimate and the fabric's ground truth, so
-                // the comparison event is emitted here rather than inside
-                // the ibmon crate.
+                // the comparison is recorded here rather than inside the
+                // ibmon crate.
                 let qc = self
                     .fabric
                     .qp_counters(self.node_srv, self.vms[i].qp)
                     .expect("qp exists");
                 let mtus_ibmon = self.ibmon.lifetime_mtus(dom);
-                self.tracer.instant(
-                    t,
-                    subsystem::IBMON,
-                    "sample",
-                    Scope::Vm(i as u32),
-                    vec![
-                        ("interval_mtus", usage.mtus.into()),
-                        ("lifetime_mtus", mtus_ibmon.into()),
-                        ("fabric_mtus", qc.mtus_sent.into()),
-                        ("est_buffer_size", usage.est_buffer_size.into()),
-                    ],
-                );
-                self.tracer.counter(
-                    t,
-                    subsystem::IBMON,
-                    "est_buffer_size",
-                    Scope::Vm(i as u32),
-                    usage.est_buffer_size,
-                );
+                if self.tracer.enabled() {
+                    self.tracer.instant(
+                        t,
+                        subsystem::IBMON,
+                        "sample",
+                        Scope::Vm(i as u32),
+                        vec![
+                            ("interval_mtus", usage.mtus.into()),
+                            ("lifetime_mtus", mtus_ibmon.into()),
+                            ("fabric_mtus", qc.mtus_sent.into()),
+                            ("est_buffer_size", usage.est_buffer_size.into()),
+                        ],
+                    );
+                    self.tracer.counter(
+                        t,
+                        subsystem::IBMON,
+                        "est_buffer_size",
+                        Scope::Vm(i as u32),
+                        usage.est_buffer_size,
+                    );
+                }
                 if record_metrics {
                     let name = self.cfg.vms[i].name.clone();
                     self.registry.gauge_set(
@@ -2063,10 +2055,16 @@ impl World {
             self.profiler.exit();
         }
         self.interval_count += 1;
-        // Hardening: a jittered manager samples each next interval in
-        // [1 - frac/2, 1 + frac/2]× the nominal cadence, so an attacker
-        // cannot phase-lock bursts to the charging boundary. Legacy
-        // (frac = 0) runs take the `None` arm and draw nothing.
+        self.schedule_next_interval(t);
+    }
+
+    /// Schedules the ResEx tick after the one at `t`. Hardening: a
+    /// jittered manager samples each next interval in [1 - frac/2,
+    /// 1 + frac/2]× the nominal cadence, so an attacker cannot phase-lock
+    /// bursts to the charging boundary. Legacy (frac = 0) runs take the
+    /// `None` arm and draw nothing.
+    fn schedule_next_interval(&mut self, t: SimTime) {
+        let interval = self.cfg.resex.interval;
         let next = match &mut self.jitter_rng {
             Some(rng) => {
                 let frac = self.cfg.resex.interval_jitter_frac;

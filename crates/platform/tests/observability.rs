@@ -57,22 +57,63 @@ fn observation_does_not_perturb_the_run() {
     let baseline = run_scenario(base_cfg);
     let (observed, out) = run_scenario_observed(observed_cfg());
     assert!(out.trace_json.is_some());
-    // Tracing needs one event per serialization chunk (each emits a grant
-    // trace record), so it disables the fabric's batched fast path and
-    // processes *more* events than the untraced baseline. That is an
-    // engine-internal difference; every simulated outcome must still
-    // match exactly.
-    assert!(
-        observed.events_processed >= baseline.events_processed,
-        "tracing must not skip work: {} < {}",
-        observed.events_processed,
-        baseline.events_processed
+    assert_eq!(
+        observed.events_processed, baseline.events_processed,
+        "recording must not change the events the run executes"
     );
     for (b, o) in baseline.rows().iter().zip(observed.rows().iter()) {
         assert_eq!(b.vm, o.vm);
         assert_eq!(b.requests, o.requests);
         assert_eq!(b.mean_us.to_bits(), o.mean_us.to_bits());
         assert_eq!(b.p99_us.to_bits(), o.p99_us.to_bits());
+    }
+}
+
+#[test]
+fn every_observation_mode_executes_the_clean_run() {
+    // A batched solo transfer and the managed contention pair, each run
+    // with recording off, trace only, metrics only and both: the same
+    // events execute and every summary row is bit-identical. Modes that
+    // share an output also produce it byte for byte.
+    let mut solo = ScenarioConfig::base_case(64 * 1024);
+    solo.duration = SimDuration::from_millis(250);
+    solo.warmup = SimDuration::from_millis(50);
+    let mut managed = observed_cfg();
+    managed.obs.trace = false;
+    managed.obs.metrics = false;
+    for base in [solo, managed] {
+        let runs: Vec<_> = [(false, false), (true, false), (false, true), (true, true)]
+            .into_iter()
+            .map(|(trace, metrics)| {
+                let mut cfg = base.clone();
+                cfg.obs.trace = trace;
+                cfg.obs.metrics = metrics;
+                run_scenario_observed(cfg)
+            })
+            .collect();
+        let (clean, _) = &runs[0];
+        for (run, _) in &runs[1..] {
+            assert_eq!(
+                run.events_processed, clean.events_processed,
+                "{}",
+                base.label
+            );
+            assert_eq!(
+                format!("{:?}", run.rows()),
+                format!("{:?}", clean.rows()),
+                "{}",
+                base.label
+            );
+        }
+        let (trace_only, metrics_only, both) = (&runs[1].1, &runs[2].1, &runs[3].1);
+        assert!(trace_only.trace_json.is_some() && trace_only.metrics_jsonl.is_none());
+        assert!(metrics_only.trace_json.is_none() && metrics_only.metrics_jsonl.is_some());
+        assert_eq!(trace_only.trace_json, both.trace_json);
+        assert_eq!(metrics_only.metrics_jsonl, both.metrics_jsonl);
+        assert_eq!(
+            format!("{:?}", metrics_only.summary),
+            format!("{:?}", both.summary)
+        );
     }
 }
 

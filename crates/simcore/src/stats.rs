@@ -91,11 +91,6 @@ impl OnlineStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest sample (`+inf` if empty).
     pub fn min(&self) -> f64 {
         self.min
