@@ -53,8 +53,9 @@ cargo test -q --offline --workspace
 REPRO=./target/release/repro
 # Pool width for the determinism replays: the host's cores, but at least 4
 # so cross-thread stealing is exercised even on small CI hosts. The timed
-# sweep and rack legs run one pool thread per core ($CORES), the width the
-# pool is built for: an oversubscribed pool times its own contention.
+# sweep, rack and profile legs run one pool thread per core ($CORES), the
+# width the pool is built for: an oversubscribed pool times its own
+# contention.
 PAR_THREADS="${RESEX_PAR_THREADS:-$(nproc)}"
 if [ "$PAR_THREADS" -lt 4 ]; then PAR_THREADS=4; fi
 CORES=$(nproc)
@@ -245,8 +246,9 @@ fi
 echo "==> perf profile: repro profile all --quick -> BENCH_profile.json"
 # The committed perf artifact: merged self-profile of the whole sweep
 # (top event types by self-time, allocs/event, events/sec, per-target
-# wall-clock) stamped with git revision + thread count.
-RESEX_THREADS="$PAR_THREADS" "$REPRO" profile all --quick \
+# wall-clock) stamped with git revision + thread count. Timed at one pool
+# thread per core, like the sweep and rack legs.
+RESEX_THREADS="$CORES" "$REPRO" profile all --quick \
     --profile-json "$TMP/BENCH_profile.json" >/dev/null 2>&1
 grep -q '"schema": "resex-profile-v1"' "$TMP/BENCH_profile.json" || {
     echo "    FAIL: BENCH_profile.json missing schema"; exit 1; }

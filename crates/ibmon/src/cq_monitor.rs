@@ -18,14 +18,18 @@
 //! Scans are zero-copy and decode on change. The monitor keeps a *shadow*:
 //! the last non-torn bytes it read from every slot (all `0xFF`, the empty
 //! pattern, until the HCA first writes one). A scan borrows the ring one
-//! page at a time through [`ForeignMapping::read_pieces`]; a page equal to
+//! page at a time through [`ForeignMapping::read_pieces_stamped`]. A page
+//! whose write stamp has not moved since the scan that last found it equal
+//! to its shadow is skipped without reading it; any other page equal to
 //! its shadow is skipped with one comparison, and inside a page that
 //! differs only slots whose bytes differ are decoded. The shadow invariant
 //! — a shadow slot always decodes to the signature the slot last had, and
 //! the empty pattern to none — is what makes skipping equal bytes exact:
 //! equal bytes decode to an equal signature, so the slot did not change.
-//! Torn slots never reach the shadow, so persistent garbage reads as torn
-//! on every scan.
+//! Torn slots never reach the shadow, and a page holding one is not
+//! recorded as equal, so persistent garbage reads as torn on every scan.
+//! Only pages that start and end on a slot boundary are skipped by stamp:
+//! a slot straddling two pages is always reassembled and compared.
 //!
 //! A `CqMonitor` holds no tables of its own beyond the shadow; the
 //! [`IbMon`](crate::IbMon) service keeps each domain's monitors in a
@@ -34,8 +38,9 @@
 
 use resex_fabric::{Cqe, CQE_SIZE};
 use resex_simcore::time::SimTime;
-use resex_simmem::{ForeignMapping, MemError};
+use resex_simmem::{ForeignMapping, MemError, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// What one scan of one CQ ring observed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -75,10 +80,17 @@ pub struct CqMonitor {
     /// The last non-torn bytes of every slot; allocated by the first
     /// (priming) scan.
     shadow: Vec<[u8; CQE_SIZE]>,
+    /// Per page-bounded piece of the ring: the page stamp at which the
+    /// piece's bytes last equalled its shadow (`NEVER` if they have not
+    /// yet). Allocated with the shadow.
+    clean_at: Vec<u64>,
     latest_counter: Option<u16>,
     lifetime_completions: u64,
     lifetime_bytes: u64,
 }
+
+/// A `clean_at` entry that matches no page stamp.
+const NEVER: u64 = u64::MAX;
 
 /// Wrapping forward distance between two u16 counters, treating distances
 /// ≥ 2^15 as "behind" (returns 0).
@@ -103,6 +115,14 @@ struct Tally {
 }
 
 impl Tally {
+    /// Folds in `slots`, whose bytes equal their shadow: only an injected
+    /// tear can count.
+    fn unchanged(&mut self, slots: Range<usize>) {
+        if self.tear_slot.is_some_and(|t| slots.contains(&t)) {
+            self.torn += 1;
+        }
+    }
+
     /// Classifies slot `index` from its current bytes, folding a change
     /// into the tally and the bytes into the slot's `shadow`.
     fn slot(&mut self, index: usize, raw: &[u8; CQE_SIZE], shadow: &mut [u8; CQE_SIZE]) {
@@ -159,6 +179,7 @@ impl CqMonitor {
             capacity,
             mtu,
             shadow: Vec::new(),
+            clean_at: Vec::new(),
             latest_counter: None,
             lifetime_completions: 0,
             lifetime_bytes: 0,
@@ -200,6 +221,8 @@ impl CqMonitor {
         let priming = self.shadow.is_empty();
         if priming {
             self.shadow = vec![[0xFF; CQE_SIZE]; self.capacity as usize];
+            let pieces = (self.mapping.base().page_offset() + ring_len).div_ceil(PAGE_SIZE);
+            self.clean_at = vec![NEVER; pieces];
         }
         let mut tally = Tally {
             mtu: self.mtu,
@@ -211,39 +234,56 @@ impl CqMonitor {
             freshest: self.latest_counter,
         };
         let shadow = &mut self.shadow;
-        // Window offset of the next piece, and the bytes read so far of a
-        // slot that straddles a page boundary.
+        let clean_at = &mut self.clean_at;
+        // Window offset and index of the next piece, and the bytes read so
+        // far of a slot that straddles a page boundary. A piece's
+        // `clean_at` is recorded only when its whole slots all equal their
+        // shadow; only a piece of whole slots is ever skipped by it.
         let mut pos = 0;
+        let mut index = 0;
         let mut split = [0u8; CQE_SIZE];
-        self.mapping.read_pieces(0, ring_len, |mut piece| {
-            let filled = pos % CQE_SIZE;
-            if filled != 0 {
-                let take = (CQE_SIZE - filled).min(piece.len());
-                split[filled..filled + take].copy_from_slice(&piece[..take]);
-                piece = &piece[take..];
-                pos += take;
-                if pos % CQE_SIZE == 0 {
-                    let slot = pos / CQE_SIZE - 1;
-                    tally.slot(slot, &split, &mut shadow[slot]);
+        self.mapping
+            .read_pieces_stamped(0, ring_len, |mut piece, stamp| {
+                let clean = &mut clean_at[index];
+                index += 1;
+                if pos % CQE_SIZE == 0 && piece.len() % CQE_SIZE == 0 && *clean == stamp {
+                    // Whole slots no write has touched since they last
+                    // equalled their shadow.
+                    let first = pos / CQE_SIZE;
+                    tally.unchanged(first..first + piece.len() / CQE_SIZE);
+                    pos += piece.len();
+                    return;
                 }
-            }
-            let (body, tail) = piece.as_chunks::<CQE_SIZE>();
-            let first = pos / CQE_SIZE;
-            let seen = &mut shadow[first..first + body.len()];
-            if body == seen {
-                // Unchanged since the last scan: only a tear can count.
-                let slots = first..first + body.len();
-                if tally.tear_slot.is_some_and(|t| slots.contains(&t)) {
-                    tally.torn += 1;
+                let filled = pos % CQE_SIZE;
+                if filled != 0 {
+                    let take = (CQE_SIZE - filled).min(piece.len());
+                    split[filled..filled + take].copy_from_slice(&piece[..take]);
+                    piece = &piece[take..];
+                    pos += take;
+                    if pos % CQE_SIZE == 0 {
+                        let slot = pos / CQE_SIZE - 1;
+                        tally.slot(slot, &split, &mut shadow[slot]);
+                    }
                 }
-            } else {
-                for (i, (raw, sh)) in body.iter().zip(seen).enumerate() {
-                    tally.slot(first + i, raw, sh);
+                let (body, tail) = piece.as_chunks::<CQE_SIZE>();
+                let first = pos / CQE_SIZE;
+                let seen = &mut shadow[first..first + body.len()];
+                if body == seen {
+                    tally.unchanged(first..first + body.len());
+                    *clean = stamp;
+                } else {
+                    let torn = tally.torn;
+                    for (i, (raw, sh)) in body.iter().zip(seen).enumerate() {
+                        tally.slot(first + i, raw, sh);
+                    }
+                    // Every slot now equals its shadow unless one was torn.
+                    if tally.torn == torn {
+                        *clean = stamp;
+                    }
                 }
-            }
-            pos += piece.len();
-            split[..tail.len()].copy_from_slice(tail);
-        })?;
+                pos += piece.len();
+                split[..tail.len()].copy_from_slice(tail);
+            })?;
         let Tally {
             changed,
             changed_bytes,

@@ -5,6 +5,11 @@
 //! and diff per-slot signatures. A [`CqMonitor`] and a [`Reference`] watch
 //! the same ring through random histories and must report identical
 //! [`ScanSample`]s and lifetime counters after every scan.
+//!
+//! The monitor skips a page of whole slots by its write stamp alone when no
+//! write has touched it since its slots last equalled their shadow; the
+//! histories rewrite slots with their own bytes (the stamp moves, the bytes
+//! do not) and count the scans where such a skip must have happened.
 
 use proptest::prelude::*;
 use resex_fabric::{CompletionQueue, CqNum, Cqe, Opcode, QpNum, WcStatus, CQE_SIZE};
@@ -147,6 +152,9 @@ enum Op {
     /// A slot's `byte_len` is rewritten in place, keeping its
     /// `(wr_id, wqe_counter, owner)` signature.
     Resize { slot: u32, byte_len: u32 },
+    /// A slot's current bytes are written back unchanged: its pages' write
+    /// stamps move, its bytes do not.
+    Rewrite { slot: u32 },
     /// Both monitors scan, optionally with an injected torn slot. Random
     /// histories reduce it modulo `capacity + 1`, so one value in
     /// `capacity + 1` lands past the ring, where it is ignored.
@@ -160,6 +168,10 @@ struct Seen {
     torn: u32,
     aliased: u32,
     changed: u32,
+    /// Scans in which some page of whole slots kept the stamp it had at a
+    /// previous scan that saw no torn slot, so the monitor skipped it
+    /// without comparing.
+    skipping: u32,
 }
 
 /// A CQ ring watched by both monitors.
@@ -173,6 +185,9 @@ struct Ring {
     wr_id: u64,
     tick: u64,
     seen: Seen,
+    /// Per page-bounded piece of the ring, its stamp if it holds whole
+    /// slots, as of the last scan; `None` after a scan that saw a torn slot.
+    stamps_at_scan: Option<Vec<Option<u64>>>,
 }
 
 impl Ring {
@@ -195,6 +210,7 @@ impl Ring {
             wr_id: 0,
             tick: 0,
             seen: Seen::default(),
+            stamps_at_scan: None,
         }
     }
 
@@ -240,12 +256,42 @@ impl Ring {
                 let off = self.slot_offset(slot) + 12;
                 self.rw.write_at(off, &byte_len.to_le_bytes()).unwrap();
             }
+            Op::Rewrite { slot } => {
+                let off = self.slot_offset(slot);
+                let mut raw = [0u8; CQE_SIZE];
+                self.rw.read_at(off, &mut raw).unwrap();
+                self.rw.write_at(off, &raw).unwrap();
+            }
             Op::Scan(tear) => self.scan(tear.map(|t| t % (self.capacity + 1)))?,
         }
         Ok(())
     }
 
+    /// Each piece's stamp, or `None` for a piece that does not start and
+    /// end on a slot boundary.
+    fn piece_stamps(&self) -> Vec<Option<u64>> {
+        let mut pos = 0;
+        let mut out = Vec::new();
+        let len = self.capacity as usize * CQE_SIZE;
+        self.rw
+            .read_pieces_stamped(0, len, |piece, stamp| {
+                let whole = pos % CQE_SIZE == 0 && piece.len() % CQE_SIZE == 0;
+                out.push(whole.then_some(stamp));
+                pos += piece.len();
+            })
+            .unwrap();
+        out
+    }
+
     fn scan(&mut self, tear: Option<u32>) -> Result<(), TestCaseError> {
+        let stamps = self.piece_stamps();
+        if let Some(before) = &self.stamps_at_scan {
+            let quiet = before
+                .iter()
+                .zip(&stamps)
+                .any(|(a, b)| a.is_some() && a == b);
+            self.seen.skipping += quiet as u32;
+        }
         self.tick += 1;
         let now = SimTime::from_millis(self.tick);
         let got = self.monitor.scan_faulted(now, tear).unwrap();
@@ -260,6 +306,7 @@ impl Ring {
         self.seen.torn += got.torn;
         self.seen.aliased += got.aliased as u32;
         self.seen.changed += got.slots_changed;
+        self.stamps_at_scan = (got.torn == 0).then_some(stamps);
         Ok(())
     }
 }
@@ -288,6 +335,7 @@ fn op() -> impl Strategy<Value = Op> {
         )
             .prop_map(|(slot, at, bytes)| Op::Garbage { slot, at, bytes }),
         (any::<u32>(), any::<u32>()).prop_map(|(slot, byte_len)| Op::Resize { slot, byte_len }),
+        any::<u32>().prop_map(|slot| Op::Rewrite { slot }),
         scan(),
         scan(),
         scan(),
@@ -327,12 +375,13 @@ fn complete(n: u32, byte_len: u32) -> Op {
 }
 
 /// Every case the shadow must get right, in one fixed history, on a
-/// 1024-slot page-aligned ring and on small rings whose slots straddle a
-/// page boundary.
+/// 1024-slot page-aligned ring, on a small ring of whole slots split across
+/// two pages, and on rings whose slots straddle a page boundary.
 #[test]
 fn fixed_history_matches_the_copying_reference() {
     for (capacity, page_offset) in [
         (1024, 0),
+        (16, PAGE_SIZE - 8 * CQE_SIZE),
         (1024, 16),
         (8, PAGE_SIZE - 100),
         (4, PAGE_SIZE - 40),
@@ -371,6 +420,13 @@ fn fixed_history_matches_the_copying_reference() {
                 byte_len: 777,
             },
             Op::Scan(None),
+            // Bytes written back unchanged, away from the garbage: the
+            // stamp moves, nothing else. Tear the slot, then skip its page.
+            Op::Rewrite {
+                slot: capacity / 2 + 1,
+            },
+            Op::Scan(Some(capacity / 2 + 1)),
+            Op::Scan(None),
             // Overrun: no polls until the ring is full and then some.
             Op::Complete {
                 n: capacity + 3,
@@ -391,13 +447,16 @@ fn fixed_history_matches_the_copying_reference() {
             ring.apply(op).unwrap();
         }
         let seen = &ring.seen;
-        assert_eq!(seen.scans, 14);
+        assert_eq!(seen.scans, 16);
         assert!(
             seen.torn >= 4,
             "cap {capacity}: tears and garbage were seen"
         );
         assert!(seen.aliased >= 2, "cap {capacity}: aliasing was seen");
         assert!(seen.changed > capacity, "cap {capacity}: changes were seen");
+        if page_offset % CQE_SIZE == 0 {
+            assert!(seen.skipping > 0, "cap {capacity}: stamp skips were taken");
+        }
         assert_eq!(ring.monitor.scan(SimTime::ZERO).unwrap().torn, 0);
     }
 }

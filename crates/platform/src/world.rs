@@ -119,14 +119,27 @@ struct CrashPlane {
     totals: CrashTotals,
 }
 
+/// What fires. `FabricSync` and `HvSync` are the held wake-ups (never in
+/// the calendar) and carry the instant they were armed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
-    FabricSync,
-    HvSync,
+    FabricSync { armed_at: SimTime },
+    HvSync { armed_at: SimTime },
     ClientTimer { client: usize },
     RequestTimeout { client: usize, req_id: u64 },
     ResExInterval,
     End,
+}
+
+/// A held sync wake-up: `(time, seq, armed_at)`.
+type Held = (SimTime, u64, SimTime);
+
+/// Where the next event comes from.
+#[derive(Clone, Copy)]
+enum Due {
+    Calendar,
+    Fabric,
+    Hv,
 }
 
 /// A request in flight, with everything needed to re-issue it.
@@ -184,8 +197,12 @@ pub struct World {
     dom0: DomainId,
     node_srv: NodeId,
     node_cli: NodeId,
-    fabric_sync: Option<(SimTime, EventKey, SimTime)>,
-    hv_sync: Option<(SimTime, EventKey, SimTime)>,
+    /// The fabric's and the hypervisor's next wake-ups, held outside the
+    /// calendar as `(time, seq, armed_at)`. `seq` is drawn from the
+    /// calendar's counter when the wake-up is armed, so it fires exactly
+    /// where a calendar entry scheduled then would.
+    fabric_sync: Option<Held>,
+    hv_sync: Option<Held>,
     events: u64,
     /// True once the `End` event has fired; stepping becomes a no-op and
     /// [`World::next_event_time`] reports idle.
@@ -711,8 +728,23 @@ impl World {
         if self.done {
             None
         } else {
-            self.queue.peek_time()
+            self.next_due().map(|(t, _)| t)
         }
+    }
+
+    /// The next entry to fire: the calendar head or a held sync wake-up,
+    /// whichever has the smallest `(time, seq)`.
+    #[inline]
+    fn next_due(&self) -> Option<(SimTime, Due)> {
+        let mut best = self.queue.peek_key().map(|k| (k, Due::Calendar));
+        for (held, due) in [(self.fabric_sync, Due::Fabric), (self.hv_sync, Due::Hv)] {
+            if let Some((at, seq, _)) = held {
+                if best.is_none_or(|(k, _)| (at, seq) < k) {
+                    best = Some(((at, seq), due));
+                }
+            }
+        }
+        best.map(|((t, _), due)| (t, due))
     }
 
     /// Processes every queued event with timestamp `≤ horizon`, in
@@ -729,11 +761,25 @@ impl World {
         // Hoisted so the hot loop pays one branch per event when off —
         // the same pattern the tracer uses.
         let profiling = self.profiler.is_enabled();
-        while self.queue.peek_time().is_some_and(|t| t <= horizon) {
-            let (t, ev) = self.queue.pop().expect("peeked event");
+        while let Some((t, due)) = self.next_due().filter(|&(t, _)| t <= horizon) {
+            let ev = match due {
+                Due::Calendar => self.queue.pop().expect("peeked event").1,
+                Due::Fabric => {
+                    let (_, _, armed_at) = self.fabric_sync.take().expect("held wake-up");
+                    self.queue.advance_to(t);
+                    Ev::FabricSync { armed_at }
+                }
+                Due::Hv => {
+                    let (_, _, armed_at) = self.hv_sync.take().expect("held wake-up");
+                    self.queue.advance_to(t);
+                    Ev::HvSync { armed_at }
+                }
+            };
             self.events += 1;
             if profiling {
-                self.profiler.observe(ev_name(&ev), self.queue.len());
+                // Held wake-ups count as calendar entries.
+                let held = self.fabric_sync.is_some() as usize + self.hv_sync.is_some() as usize;
+                self.profiler.observe(ev_name(&ev), self.queue.len() + held);
             }
             match ev {
                 Ev::End => {
@@ -743,24 +789,16 @@ impl World {
                     self.done = true;
                     return true;
                 }
-                Ev::FabricSync => {
-                    let armed_at = match self.fabric_sync {
-                        Some((ft, _, a)) if ft == t => {
-                            self.fabric_sync = None;
-                            a
-                        }
-                        _ => t,
-                    };
+                Ev::FabricSync { armed_at } => {
                     // A `BatchDone` wake-up was armed when the batch was
                     // created, but the chunk-at-a-time execution would have
                     // armed the final completion only at the previous chunk
                     // boundary. If this sync jumped ahead of same-instant
                     // events armed in between, re-arm it behind them (the
-                    // fresh key is armed "now", so it cannot defer twice).
+                    // fresh seq is drawn "now", so it cannot defer twice).
                     if let Some(v) = self.fabric.batch_fire_arming(t) {
                         if armed_at < v {
-                            let key = self.queue.schedule_at(t, Ev::FabricSync);
-                            self.fabric_sync = Some((t, key, t));
+                            self.fabric_sync = Some((t, self.queue.draw_seq(), t));
                             if profiling {
                                 self.profiler.exit();
                             }
@@ -788,14 +826,7 @@ impl World {
                     }
                     self.fab_events = evs;
                 }
-                Ev::HvSync => {
-                    let armed_at = match self.hv_sync {
-                        Some((ht, _, a)) if ht == t => {
-                            self.hv_sync = None;
-                            a
-                        }
-                        _ => t,
-                    };
+                Ev::HvSync { armed_at } => {
                     // A batched chunk boundary landing exactly here must be
                     // applied first when its per-chunk completion would have
                     // been armed no later than this sync (rearm always arms
@@ -989,32 +1020,19 @@ impl World {
 
     // ------------------------------------------------------------------
 
+    /// Re-arms the held fabric and hypervisor wake-ups after an event.
+    /// Both guards key on the clamped time: a past-due `next_time` is held
+    /// at `now`, so a raw time that moves backwards but still clamps to the
+    /// same instant leaves the held entry (and its seq) alone.
     fn rearm(&mut self) {
-        // Both guards key on the *scheduled* (clamped) time: a past-due
-        // `next_time` is scheduled at `now`, and the pop-side guard
-        // compares against exactly what was scheduled. Keying on the raw
-        // time left a stale entry alive when `next_time` moved backwards,
-        // which could double-fire an advance.
         let now = self.queue.now();
         let ft = self.fabric.next_time().map(|t| t.max(now));
         if self.fabric_sync.map(|(t, _, _)| t) != ft {
-            if let Some((_, key, _)) = self.fabric_sync.take() {
-                self.queue.cancel(key);
-            }
-            if let Some(at) = ft {
-                let key = self.queue.schedule_at(at, Ev::FabricSync);
-                self.fabric_sync = Some((at, key, now));
-            }
+            self.fabric_sync = ft.map(|at| (at, self.queue.draw_seq(), now));
         }
         let ht = self.hv.next_time().map(|t| t.max(now));
         if self.hv_sync.map(|(t, _, _)| t) != ht {
-            if let Some((_, key, _)) = self.hv_sync.take() {
-                self.queue.cancel(key);
-            }
-            if let Some(at) = ht {
-                let key = self.queue.schedule_at(at, Ev::HvSync);
-                self.hv_sync = Some((at, key, now));
-            }
+            self.hv_sync = ht.map(|at| (at, self.queue.draw_seq(), now));
         }
     }
 
@@ -2133,8 +2151,8 @@ fn attack_client(
 /// Stable event-type labels for the self-profiler.
 fn ev_name(ev: &Ev) -> &'static str {
     match ev {
-        Ev::FabricSync => "FabricSync",
-        Ev::HvSync => "HvSync",
+        Ev::FabricSync { .. } => "FabricSync",
+        Ev::HvSync { .. } => "HvSync",
         Ev::ClientTimer { .. } => "ClientTimer",
         Ev::RequestTimeout { .. } => "RequestTimeout",
         Ev::ResExInterval => "ResExInterval",
@@ -2241,27 +2259,28 @@ mod tests {
         assert!(raw < w.queue.now(), "setup: wake-up must be past-due");
 
         w.rearm();
-        let (t1, k1, _) = w.fabric_sync.expect("fabric sync armed");
+        let (t1, seq1, _) = w.fabric_sync.expect("fabric sync armed");
         assert_eq!(t1, w.queue.now(), "past-due wake-up clamps to now");
         let len1 = w.queue.len();
-        let cancelled1 = w.queue.cancelled_backlog();
+        let next_seq = w.queue.draw_seq();
+        assert!(next_seq > seq1, "the held wake-up drew its seq");
 
         // Drive the *raw* next_time backwards with earlier work on the
         // other link. The clamped time is unchanged, so rearm must leave
-        // the armed entry alone. (The regression keyed the guard on the
-        // raw time: the mismatch cancelled and re-scheduled the wake-up,
-        // which double-fired the advance.)
+        // the held entry alone. (The regression keyed the guard on the
+        // raw time: the mismatch re-armed the wake-up, which double-fired
+        // the advance.)
         plant_fabric_work(&mut w, true, ms(3));
         let raw2 = w.fabric.next_time().expect("pending fabric work");
         assert!(raw2 < raw, "setup: next_time must move backwards");
         w.rearm();
-        let (t2, k2, _) = w.fabric_sync.expect("fabric sync still armed");
-        assert_eq!((t2, k2), (t1, k1), "same scheduled wake-up, not a re-arm");
-        assert_eq!(w.queue.len(), len1, "no duplicate FabricSync scheduled");
+        let (t2, seq2, _) = w.fabric_sync.expect("fabric sync still armed");
+        assert_eq!((t2, seq2), (t1, seq1), "same held wake-up, not a re-arm");
+        assert_eq!(w.queue.len(), len1, "the calendar is untouched");
         assert_eq!(
-            w.queue.cancelled_backlog(),
-            cancelled1,
-            "no cancel churn on a backwards next_time"
+            w.queue.draw_seq(),
+            next_seq + 1,
+            "no seq drawn on a backwards next_time"
         );
     }
 }

@@ -19,14 +19,25 @@
 //!
 //! - **True O(log n) cancellation** — [`EventQueue::cancel`] removes the
 //!   entry from the heap immediately (swap with the last leaf, sift). No
-//!   tombstones accumulate, so the rearm churn of the platform event loop
-//!   (cancel + reschedule around every event) leaves no garbage behind.
+//!   tombstones accumulate, so cancel + reschedule churn (request
+//!   deadlines cancelled by their response) leaves no garbage behind.
 //! - **Zero steady-state allocation** — cancelled and fired slots return to
 //!   the free list and are reused by the next `schedule_*` call. Once the
 //!   calendar reaches its high-water mark, scheduling allocates nothing.
 //!
 //! Stale keys are harmless: each slot carries the sequence number of its
 //! current occupant, and a key whose sequence does not match is rejected.
+//!
+//! # Held entries
+//!
+//! A caller that keeps a wake-up of its own outside the heap (one slot it
+//! re-arms after every event) can order it against the calendar without
+//! cancelling and rescheduling: [`EventQueue::draw_seq`] hands it the seq a
+//! `schedule_*` call would have used, [`EventQueue::peek_key`] exposes the
+//! head's `(time, seq)` to compare against, and [`EventQueue::advance_to`]
+//! moves the clock when the held entry fires first. Pops come out exactly
+//! as if the held entry had been scheduled at the instant its seq was
+//! drawn.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -109,13 +120,6 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
-    /// Cancelled entries awaiting lazy removal. Always zero: cancellation
-    /// removes entries from the heap immediately. Kept for diagnostics
-    /// parity with the tombstoning design this slab store replaced.
-    pub fn cancelled_backlog(&self) -> usize {
-        0
-    }
-
     /// True if no events remain.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -132,8 +136,7 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.draw_seq();
         let slot = if self.free_head != NO_SLOT {
             let slot = self.free_head;
             let s = &mut self.slots[slot as usize];
@@ -188,6 +191,33 @@ impl<E> EventQueue<E> {
     /// The firing time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|&slot| self.slots[slot as usize].at)
+    }
+
+    /// The `(time, seq)` ordering key of the next event, if any.
+    #[inline]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.first().map(|_| self.rank(0))
+    }
+
+    /// Draws the sequence number the next `schedule_*` call would use, for
+    /// an entry the caller holds outside the heap.
+    #[inline]
+    pub fn draw_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Advances `now` to `at`, the time of a held entry that fires ahead of
+    /// every scheduled one.
+    #[inline]
+    pub fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(
+            at >= self.now && self.peek_key().is_none_or(|(t, _)| at <= t),
+            "held entry fires out of order: at={at}, now={}",
+            self.now
+        );
+        self.now = at;
     }
 
     /// Pops the next event, advancing `now` to its firing time.
@@ -380,7 +410,6 @@ mod tests {
         let k = q.schedule_at(us(10), 1);
         assert_eq!(q.pop(), Some((us(10), 1)));
         assert!(!q.cancel(k), "a fired event is no longer pending");
-        assert_eq!(q.cancelled_backlog(), 0, "stale key must not leak");
         // The queue stays fully functional afterwards.
         let k2 = q.schedule_at(us(20), 2);
         assert!(q.cancel(k2));
@@ -409,7 +438,6 @@ mod tests {
             q.pop();
             assert!(!q.cancel(k));
         }
-        assert_eq!(q.cancelled_backlog(), 0);
         // Cancel-before-fire: entries are reclaimed immediately.
         let keys: Vec<_> = (0..100).map(|i| q.schedule_at(us(1_000_000), i)).collect();
         for k in keys {
@@ -417,13 +445,12 @@ mod tests {
         }
         assert_eq!(q.len(), 0);
         assert_eq!(q.pop(), None);
-        assert_eq!(q.cancelled_backlog(), 0, "cancellation leaves no garbage");
     }
 
     #[test]
     fn slab_reuses_slots_without_growing() {
-        // Steady-state churn (the platform's rearm pattern: cancel +
-        // reschedule around every pop) must not grow the slab.
+        // Steady-state churn (cancel + reschedule around every pop) must
+        // not grow the slab.
         let mut q = EventQueue::new();
         let mut sync = q.schedule_at(us(1), 0u64);
         for i in 1..1_000u64 {

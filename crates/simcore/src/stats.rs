@@ -77,15 +77,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance with Bessel's correction (0 if fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -378,7 +369,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]

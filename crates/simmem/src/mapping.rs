@@ -7,10 +7,13 @@
 //! [`GuestMemory`], offering read (and optionally write)
 //! access through the same shared storage the guest and the HCA write.
 //!
-//! [`ForeignMapping::read_pieces`] is the zero-copy path: it lends the
-//! guest's own page storage to the caller, one page-bounded `&[u8]` at a
-//! time under a single read lock, so a monitor observes DMA'd bytes where
-//! they lie. [`ForeignMapping::read_at`] copies into a caller buffer.
+//! [`ForeignMapping::read_pieces_stamped`] is the zero-copy path: it lends
+//! the guest's own page storage to the caller, one page-bounded `&[u8]` at
+//! a time under a single read lock, so a monitor observes DMA'd bytes where
+//! they lie. Each piece comes with its page's write stamp, so a monitor
+//! that remembers the stamp it last compared at can skip a page no write
+//! has touched since without reading it. [`ForeignMapping::read_at`]
+//! copies into a caller buffer.
 
 use crate::error::MemError;
 use crate::memory::{Gpa, GuestMemory, MemoryHandle};
@@ -111,18 +114,19 @@ impl ForeignMapping {
 
     /// Calls `f` with each page-bounded piece of `[offset, offset+len)`
     /// within the window, in order, borrowing the guest's pages in place
-    /// under one read lock. Untouched pages read as zeros. Bounds errors
-    /// match [`ForeignMapping::read_at`].
-    pub fn read_pieces(
+    /// under one read lock, and with each piece's page stamp (see
+    /// [`GuestMemory::read_pieces_stamped`]). Untouched pages read as
+    /// zeros. Bounds errors match [`ForeignMapping::read_at`].
+    pub fn read_pieces_stamped(
         &self,
         offset: usize,
         len: usize,
-        f: impl FnMut(&[u8]),
+        f: impl FnMut(&[u8], u64),
     ) -> Result<(), MemError> {
         self.check(offset, len)?;
         self.mem
             .read()
-            .read_pieces(self.base.add(offset as u64), len, f)
+            .read_pieces_stamped(self.base.add(offset as u64), len, f)
     }
 
     /// Writes through the mapping (read-write mappings only).
@@ -185,12 +189,12 @@ mod tests {
         assert!(map.read_at(4088, &mut b).is_ok());
     }
 
-    /// Concatenates the pieces `read_pieces` lends, checking each stays
-    /// inside one page.
+    /// Concatenates the pieces `read_pieces_stamped` lends, checking each
+    /// stays inside one page.
     fn pieces(map: &ForeignMapping, offset: usize, len: usize) -> Result<Vec<u8>, MemError> {
         let mut out = Vec::new();
         let mut gpa = map.base().add(offset as u64);
-        map.read_pieces(offset, len, |p| {
+        map.read_pieces_stamped(offset, len, |p, _| {
             assert!(!p.is_empty());
             assert!(
                 gpa.page_offset() + p.len() <= PAGE_SIZE,
@@ -234,6 +238,29 @@ mod tests {
     }
 
     #[test]
+    fn stamped_pieces_see_dma_and_mapped_writes() {
+        let guest = MemoryHandle::new(8 * PAGE_SIZE as u64);
+        guest
+            .with_write(|m| m.pin_range(Gpa::new(0), 8 * PAGE_SIZE))
+            .unwrap();
+        let base = Gpa::new(PAGE_SIZE as u64 + 100);
+        let map = ForeignMapping::map_rw(&guest, base, 2 * PAGE_SIZE).unwrap();
+        let stamps = || {
+            let mut out = Vec::new();
+            map.read_pieces_stamped(0, 2 * PAGE_SIZE, |p, s| out.push((p.len(), s)))
+                .unwrap();
+            out
+        };
+        let head = PAGE_SIZE - 100;
+        assert_eq!(stamps(), [(head, 0), (PAGE_SIZE, 0), (100, 0)]);
+        guest
+            .dma_write(Gpa::new(2 * PAGE_SIZE as u64), &[1])
+            .unwrap();
+        map.write_at(0, &[2]).unwrap();
+        assert_eq!(stamps(), [(head, 2), (PAGE_SIZE, 1), (100, 0)]);
+    }
+
+    #[test]
     fn pieces_outside_the_window_fail_like_read_at() {
         let guest = MemoryHandle::new(16 * 1024);
         let map = ForeignMapping::map(&guest, Gpa::new(1024), 4096).unwrap();
@@ -241,7 +268,9 @@ mod tests {
             let mut buf = vec![0u8; len];
             let want = map.read_at(offset, &mut buf).unwrap_err();
             let mut called = false;
-            let got = map.read_pieces(offset, len, |_| called = true).unwrap_err();
+            let got = map
+                .read_pieces_stamped(offset, len, |_, _| called = true)
+                .unwrap_err();
             assert_eq!(got, want, "offset {offset} len {len}");
             assert!(!called, "no piece is lent on a bounds error");
         }

@@ -63,13 +63,25 @@ impl fmt::Display for Gpa {
     }
 }
 
+/// A backed page: its bytes and the write clock of the last write that
+/// touched it.
+struct Page {
+    bytes: [u8; PAGE_SIZE],
+    stamp: u64,
+}
+
 struct PageState {
-    data: Option<Box<[u8; PAGE_SIZE]>>,
+    /// The stamp lives inside the box, not here: every page of every
+    /// domain carries a `PageState`, and a `u64` beside the box would grow
+    /// it from 16 to 24 bytes.
+    data: Option<Box<Page>>,
     pin_count: u32,
     /// Ever pinned or written: counted by [`GuestMemory::resident_pages`]
     /// even while its storage is still unallocated.
     resident: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<PageState>() == 16);
 
 impl PageState {
     const fn empty() -> Self {
@@ -87,9 +99,15 @@ impl PageState {
 /// untouched pages return zeros, like freshly ballooned memory). A simple
 /// bump allocator hands out page-aligned regions for application buffers
 /// and queue rings.
+///
+/// Every write call ticks a write clock and stamps each page it touches
+/// with the new value, so a reader that remembers a page's stamp can tell,
+/// without comparing bytes, that no write has touched the page since.
 pub struct GuestMemory {
     pages: Vec<PageState>,
     alloc_next: u64,
+    /// Stamp of the latest write call; 0 before the first.
+    clock: u64,
 }
 
 impl GuestMemory {
@@ -101,6 +119,7 @@ impl GuestMemory {
         GuestMemory {
             pages,
             alloc_next: 0,
+            clock: 0,
         }
     }
 
@@ -151,20 +170,22 @@ impl GuestMemory {
     /// Reads `buf.len()` bytes starting at `gpa`.
     pub fn read(&self, gpa: Gpa, buf: &mut [u8]) -> Result<(), MemError> {
         let mut done = 0;
-        self.read_pieces(gpa, buf.len(), |piece| {
+        self.read_pieces_stamped(gpa, buf.len(), |piece, _| {
             buf[done..done + piece.len()].copy_from_slice(piece);
             done += piece.len();
         })
     }
 
     /// Calls `f` with each page-bounded piece of `[gpa, gpa+len)` in
-    /// address order, borrowing page storage in place. Untouched pages read
-    /// as zeros.
-    pub fn read_pieces(
+    /// address order, borrowing page storage in place, and with the
+    /// piece's page stamp: the write clock of the last write that touched
+    /// the page, or 0 for a page never written (it reads as zeros). Stamps
+    /// only grow, so an unchanged stamp means unchanged bytes.
+    pub fn read_pieces_stamped(
         &self,
         gpa: Gpa,
         len: usize,
-        mut f: impl FnMut(&[u8]),
+        mut f: impl FnMut(&[u8], u64),
     ) -> Result<(), MemError> {
         static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         self.check_range(gpa, len)?;
@@ -174,8 +195,11 @@ impl GuestMemory {
             let frame = (addr / PAGE_SIZE as u64) as usize;
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(len - done);
-            let page = self.pages[frame].data.as_deref().unwrap_or(&ZERO_PAGE);
-            f(&page[off..off + n]);
+            let (page, stamp) = match self.pages[frame].data.as_deref() {
+                Some(p) => (&p.bytes, p.stamp),
+                None => (&ZERO_PAGE, 0),
+            };
+            f(&page[off..off + n], stamp);
             done += n;
             addr += n as u64;
         }
@@ -195,7 +219,8 @@ impl GuestMemory {
         self.write_pieces(gpa, len, |_, piece| piece.fill(byte))
     }
 
-    /// Mutable [`GuestMemory::read_pieces`]; `f` also gets each piece's offset.
+    /// Mutable [`GuestMemory::read_pieces_stamped`]; `f` gets each piece's
+    /// offset. Ticks the write clock once and stamps every page touched.
     fn write_pieces(
         &mut self,
         gpa: Gpa,
@@ -203,6 +228,8 @@ impl GuestMemory {
         mut f: impl FnMut(usize, &mut [u8]),
     ) -> Result<(), MemError> {
         self.check_range(gpa, len)?;
+        self.clock += 1;
+        let stamp = self.clock;
         let mut addr = gpa.raw();
         let mut done = 0;
         while done < len {
@@ -211,8 +238,14 @@ impl GuestMemory {
             let n = (PAGE_SIZE - off).min(len - done);
             let state = &mut self.pages[frame];
             state.resident = true;
-            let page = state.data.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            f(done, &mut page[off..off + n]);
+            let page = state.data.get_or_insert_with(|| {
+                Box::new(Page {
+                    bytes: [0; PAGE_SIZE],
+                    stamp: 0,
+                })
+            });
+            page.stamp = stamp;
+            f(done, &mut page.bytes[off..off + n]);
             done += n;
             addr += n as u64;
         }
@@ -419,7 +452,7 @@ mod tests {
         m.write(Gpa::new(PAGE_SIZE as u64 - 2), &[1, 2, 3, 4])
             .unwrap();
         let mut pieces = Vec::new();
-        m.read_pieces(Gpa::new(PAGE_SIZE as u64 - 2), PAGE_SIZE + 4, |p| {
+        m.read_pieces_stamped(Gpa::new(PAGE_SIZE as u64 - 2), PAGE_SIZE + 4, |p, _| {
             pieces.push(p.to_vec())
         })
         .unwrap();
@@ -430,6 +463,42 @@ mod tests {
         // Page 2 was never written: it reads as zeros without materializing.
         assert_eq!(pieces[2], [0, 0]);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    /// Every piece's page stamp over `[0, len)`.
+    fn stamps(m: &GuestMemory, len: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        m.read_pieces_stamped(Gpa::new(0), len, |_, s| out.push(s))
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn every_write_call_stamps_the_pages_it_touches() {
+        let mut m = GuestMemory::new(4 * PAGE_SIZE as u64);
+        assert_eq!(stamps(&m, 4 * PAGE_SIZE), [0; 4], "unwritten pages");
+        // One call, two pages, one stamp.
+        m.write(Gpa::new(PAGE_SIZE as u64 - 1), &[1, 2]).unwrap();
+        m.fill(Gpa::new(3 * PAGE_SIZE as u64), 8, 0xFF).unwrap();
+        assert_eq!(stamps(&m, 4 * PAGE_SIZE), [1, 1, 0, 2]);
+        // Rewriting the bytes already there still moves the stamp.
+        m.write(Gpa::new(PAGE_SIZE as u64), &[2]).unwrap();
+        // Pinning, reads and rejected writes stamp nothing.
+        m.pin_range(Gpa::new(2 * PAGE_SIZE as u64), PAGE_SIZE)
+            .unwrap();
+        let mut b = [0u8; 4];
+        m.read(Gpa::new(0), &mut b).unwrap();
+        assert!(m
+            .write(Gpa::new(4 * PAGE_SIZE as u64 - 1), &[0; 2])
+            .is_err());
+        assert_eq!(stamps(&m, 4 * PAGE_SIZE), [1, 3, 0, 2]);
+        // A piece inside a page carries that page's stamp.
+        let mut inner = Vec::new();
+        m.read_pieces_stamped(Gpa::new(PAGE_SIZE as u64 + 10), 20, |p, s| {
+            inner.push((p.len(), s))
+        })
+        .unwrap();
+        assert_eq!(inner, [(20, 3)]);
     }
 
     #[test]
