@@ -4,7 +4,8 @@
 # Usage: ./ci.sh [--quick]
 #   --quick  fast tier: fmt/clippy/build/test (plus fmt/clippy of the
 #            benchmark crate) and the byte-identity gates
-#            (thread-count, profiler zero-perturbation, committed-baseline).
+#            (thread-count, profiler zero-perturbation, committed-baseline,
+#            full-scale figures vs the committed repro_full.json).
 #            Minutes, suitable for every push. Windowed-vs-whole calendar
 #            identity is a workspace test (tests/rack_claims.rs).
 #   (bare)   full tier: the quick tier plus fault/adversary/crash soaks,
@@ -99,6 +100,15 @@ echo "==> adversary-off/crash-off byte-identity gate: fig9 --quick vs committed 
 #   RESEX_THREADS=1 ./target/release/repro fig9 --quick --json tests/baselines/fig9_quick.json
 cmp tests/baselines/fig9_quick.json "$TMP/fig9_seq.json"
 echo "    byte-identical to tests/baselines/fig9_quick.json"
+
+echo "==> full-scale figures gate: repro all --full JSON vs committed repro_full.json"
+# Every figure at full scale must reproduce the committed artifact byte
+# for byte (repro_full.txt is not gated: it carries wall-clock timings).
+# If this fails after an *intentional* figure change, regenerate with:
+#   ./target/release/repro all --full --json repro_full.json
+RESEX_THREADS="$CORES" "$REPRO" all --full --json "$TMP/repro_full.json" >/dev/null 2>&1
+cmp repro_full.json "$TMP/repro_full.json"
+echo "    byte-identical to repro_full.json"
 
 if [ "$TIER" = quick ]; then
     echo "==> OK (quick tier; run bare ./ci.sh for soak/chaos/perf and BENCH artifacts)"

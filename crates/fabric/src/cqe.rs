@@ -319,6 +319,13 @@ mod tests {
     }
 
     #[test]
+    fn unassigned_opcode_byte_3_is_rejected() {
+        let mut raw = mk_cqe(1, 2).encode(0);
+        raw[18] = 3;
+        assert_eq!(Cqe::try_decode(&raw), Err(CqeDecodeError::BadOpcode(3)));
+    }
+
+    #[test]
     fn try_decode_reports_why() {
         let good = mk_cqe(1, 2).encode(0);
         assert!(Cqe::try_decode(&good).is_ok());

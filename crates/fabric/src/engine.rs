@@ -25,7 +25,7 @@ use crate::error::FabricError;
 use crate::link::{EgressJob, FlowParams, GrantDecision, GrantPlan, JobKind, LinkArbiter};
 use crate::mr::{MrHandle, Need, Tpt};
 use crate::qp::{QpState, QueuePair, RecvRequest, WorkRequest};
-use crate::types::{Access, CqNum, McGroupId, NodeId, Opcode, PdId, QpNum, QpType, WcStatus};
+use crate::types::{Access, CqNum, NodeId, Opcode, PdId, QpNum, WcStatus};
 use crate::uar::Uar;
 use resex_faults::{FabricFaults, FaultSchedule, FaultStats};
 use resex_obs::{subsystem, Scope, Tracer};
@@ -41,9 +41,6 @@ resex_simcore::define_id!(
     /// One UAR (doorbell) page on an HCA.
     UarId
 );
-
-/// Wire size of the request packet that initiates an RDMA read.
-const READ_REQUEST_BYTES: u32 = 16;
 
 /// Cap on every exponential-backoff shift (RNR NAK waits and connection-
 /// manager reconnect waits): `base << shift` is computed in `u64`, so the
@@ -66,8 +63,6 @@ pub struct NodeCounters {
     /// Incoming messages dropped for lack of a posted receive (counted only
     /// when the RNR retry budget is exhausted).
     pub rnr_drops: u64,
-    /// Unreliable datagrams silently dropped (not-ready receiver).
-    pub ud_drops: u64,
     /// Messages lost on the wire (fault injection).
     #[serde(default)]
     pub wire_lost: u64,
@@ -290,7 +285,6 @@ pub struct Fabric {
     outputs: Vec<(SimTime, FabricEvent)>,
     job_seq: u64,
     jitter_rng: SimRng,
-    mcast_groups: Vec<Vec<(NodeId, QpNum)>>,
     tracer: Tracer,
     /// Wire/grant fault injectors; `None` (the default) draws nothing and
     /// keeps fault-free runs byte-identical to pre-fault builds.
@@ -328,7 +322,6 @@ impl Fabric {
             outputs: Vec::new(),
             job_seq: 0,
             jitter_rng,
-            mcast_groups: Vec::new(),
             tracer: Tracer::disabled(),
             faults: None,
             recovery: false,
@@ -559,215 +552,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Creates an unreliable-datagram queue pair (already in RTS; UD needs
-    /// no peer handshake).
-    #[allow(clippy::too_many_arguments)] // mirrors ibv_create_qp's surface
-    pub fn create_ud_qp(
-        &mut self,
-        node: NodeId,
-        pd: PdId,
-        send_cq: CqNum,
-        recv_cq: CqNum,
-        sq_depth: usize,
-        rq_depth: usize,
-        uar: UarId,
-    ) -> Result<QpNum, FabricError> {
-        let n = self.node_mut(node)?;
-        if !n.pds.contains(&pd) {
-            return Err(FabricError::UnknownPd(node, pd));
-        }
-        if !n.cqs.contains_key(&send_cq) {
-            return Err(FabricError::UnknownCq(node, send_cq));
-        }
-        if !n.cqs.contains_key(&recv_cq) {
-            return Err(FabricError::UnknownCq(node, recv_cq));
-        }
-        let num = n.qp_alloc.next();
-        let u = n
-            .uars
-            .get_mut(&uar)
-            .ok_or_else(|| FabricError::Config("unknown UAR".into()))?;
-        u.assign(num)?;
-        n.qp_uar.insert(num, uar);
-        n.qps.insert(
-            num,
-            QueuePair::new_ud(num, pd, send_cq, recv_cq, sq_depth, rq_depth),
-        );
-        Ok(num)
-    }
-
-    /// Creates an empty multicast group.
-    pub fn create_mcast_group(&mut self) -> McGroupId {
-        self.mcast_groups.push(Vec::new());
-        McGroupId::new((self.mcast_groups.len() - 1) as u32)
-    }
-
-    /// Attaches a UD queue pair to a multicast group.
-    pub fn join_mcast(
-        &mut self,
-        group: McGroupId,
-        node: NodeId,
-        qp: QpNum,
-    ) -> Result<(), FabricError> {
-        {
-            let n = self.node(node)?;
-            let q = n.qps.get(&qp).ok_or(FabricError::UnknownQp(node, qp))?;
-            if q.qp_type != QpType::Ud {
-                return Err(FabricError::BadQpState {
-                    qp,
-                    needed: "a UD queue pair",
-                });
-            }
-        }
-        let members = self
-            .mcast_groups
-            .get_mut(group.index())
-            .ok_or_else(|| FabricError::Config("unknown multicast group".into()))?;
-        if !members.contains(&(node, qp)) {
-            members.push((node, qp));
-        }
-        Ok(())
-    }
-
-    /// Members of a multicast group.
-    pub fn mcast_members(&self, group: McGroupId) -> &[(NodeId, QpNum)] {
-        self.mcast_groups
-            .get(group.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Posts an unreliable datagram to an explicit destination. UD messages
-    /// are limited to one MTU; `wr.opcode` must be `Send`; the completion is
-    /// local (generated as soon as the datagram is serialized — UD has no
-    /// acknowledgements).
-    pub fn post_send_ud(
-        &mut self,
-        node: NodeId,
-        qp_num: QpNum,
-        wr: WorkRequest,
-        dst: (NodeId, QpNum),
-        now: SimTime,
-    ) -> Result<(), FabricError> {
-        self.post_ud_inner(node, qp_num, wr, JobKind::UdSend, dst, now)
-    }
-
-    /// Posts an unreliable datagram to every member of a multicast group.
-    /// The datagram is serialized **once** on the sender's egress; the
-    /// switch replicates it to each member's ingress port.
-    pub fn post_send_mcast(
-        &mut self,
-        node: NodeId,
-        qp_num: QpNum,
-        wr: WorkRequest,
-        group: McGroupId,
-        now: SimTime,
-    ) -> Result<(), FabricError> {
-        if group.index() >= self.mcast_groups.len() {
-            return Err(FabricError::Config("unknown multicast group".into()));
-        }
-        // Destination fields are unused for multicast; the fan-out happens
-        // at delivery from the group table.
-        self.post_ud_inner(
-            node,
-            qp_num,
-            wr,
-            JobKind::McastSend { group },
-            (node, qp_num),
-            now,
-        )
-    }
-
-    fn post_ud_inner(
-        &mut self,
-        node: NodeId,
-        qp_num: QpNum,
-        wr: WorkRequest,
-        kind: JobKind,
-        dst: (NodeId, QpNum),
-        now: SimTime,
-    ) -> Result<(), FabricError> {
-        self.settle_node(node, now, false);
-        if wr.opcode != Opcode::Send {
-            return Err(FabricError::BadQpState {
-                qp: qp_num,
-                needed: "a Send opcode (UD)",
-            });
-        }
-        if wr.len > self.cfg.mtu_bytes {
-            return Err(FabricError::Config(format!(
-                "UD datagrams are limited to one MTU ({} bytes), got {}",
-                self.cfg.mtu_bytes, wr.len
-            )));
-        }
-        let threshold = self.cfg.payload_copy_threshold;
-        let seq = self.job_seq;
-        // Pooled buffer taken before the node borrow; an error path below
-        // simply drops it (rare, and the pool refills on the next recycle).
-        let pooled = if wr.len <= threshold {
-            Some(self.pool_buf(wr.len as usize))
-        } else {
-            None
-        };
-        let n = self.node_mut(node)?;
-        let payload = {
-            let qp = n
-                .qps
-                .get(&qp_num)
-                .ok_or(FabricError::UnknownQp(node, qp_num))?;
-            if qp.qp_type != QpType::Ud {
-                return Err(FabricError::BadQpState {
-                    qp: qp_num,
-                    needed: "a UD queue pair",
-                });
-            }
-            let mem = n
-                .tpt
-                .check(wr.lkey, wr.local_gpa, wr.len, Need::LocalRead, Some(qp.pd))?;
-            if let Some(mut buf) = pooled {
-                mem.read(wr.local_gpa, &mut buf)?;
-                Some(buf)
-            } else {
-                None
-            }
-        };
-        let qp = n
-            .qps
-            .get_mut(&qp_num)
-            .ok_or(FabricError::UnknownQp(node, qp_num))?;
-        qp.post_send(wr)?;
-        qp.sq.pop_back();
-        if let Some(&uid) = n.qp_uar.get(&qp_num) {
-            if let Some(uar) = n.uars.get_mut(&uid) {
-                uar.ring(qp_num)?;
-            }
-        }
-        self.job_seq += 1;
-        let job = EgressJob {
-            seq,
-            src_node: node,
-            qp: qp_num,
-            wr_id: wr.wr_id,
-            opcode: wr.opcode,
-            kind,
-            dst_node: dst.0,
-            dst_qp: dst.1,
-            len: wr.len,
-            sent: 0,
-            signaled: wr.signaled,
-            remote_gpa: Gpa::new(0),
-            rkey: 0,
-            imm: wr.imm,
-            payload,
-            attempt: 0,
-            rnr_attempt: 0,
-        };
-        let n = self.node_mut(node)?;
-        n.arbiter.enqueue(job);
-        self.kick_link(node, now);
-        Ok(())
-    }
-
     // ----- data path ---------------------------------------------------
 
     /// Posts a send-side work request at simulated time `now`.
@@ -803,19 +587,9 @@ impl Fabric {
                 .qps
                 .get(&qp_num)
                 .ok_or(FabricError::UnknownQp(node, qp_num))?;
-            if qp.qp_type != QpType::Rc {
-                return Err(FabricError::BadQpState {
-                    qp: qp_num,
-                    needed: "an RC queue pair (use post_send_ud)",
-                });
-            }
-            let need = match wr.opcode {
-                Opcode::RdmaRead => Need::LocalWrite,
-                _ => Need::LocalRead,
-            };
             let mem = n
                 .tpt
-                .check(wr.lkey, wr.local_gpa, wr.len, need, Some(qp.pd))?;
+                .check(wr.lkey, wr.local_gpa, wr.len, Need::LocalRead, Some(qp.pd))?;
             if let Some(mut buf) = pooled {
                 mem.read(wr.local_gpa, &mut buf)?;
                 Some(buf)
@@ -823,7 +597,7 @@ impl Fabric {
                 None
             }
         };
-        let (dst_node, dst_qp, kind, job_len) = {
+        let (dst_node, dst_qp, kind) = {
             let qp = n
                 .qps
                 .get_mut(&qp_num)
@@ -837,13 +611,6 @@ impl Fabric {
                 Opcode::Send => JobKind::Send,
                 Opcode::RdmaWrite => JobKind::Write,
                 Opcode::RdmaWriteImm => JobKind::WriteImm,
-                Opcode::RdmaRead => JobKind::ReadRequest {
-                    resp_len: wr.len,
-                    remote_gpa: wr.remote.map(|r| r.gpa).unwrap_or(Gpa::new(0)),
-                    rkey: wr.remote.map(|r| r.rkey).unwrap_or(0),
-                    local_gpa: wr.local_gpa,
-                    lkey: wr.lkey,
-                },
                 Opcode::Recv => {
                     return Err(FabricError::BadQpState {
                         qp: qp_num,
@@ -851,15 +618,10 @@ impl Fabric {
                     })
                 }
             };
-            let job_len = if wr.opcode == Opcode::RdmaRead {
-                READ_REQUEST_BYTES
-            } else {
-                wr.len
-            };
             // The WQE is consumed by the engine immediately (the HCA's DMA
             // engine picks it up at doorbell time).
             qp.sq.pop_back();
-            (remote.0, remote.1, kind, job_len)
+            (remote.0, remote.1, kind)
         };
         // Ring the doorbell (guest-visible posting signal).
         if let Some(&uid) = n.qp_uar.get(&qp_num) {
@@ -877,7 +639,7 @@ impl Fabric {
             kind,
             dst_node,
             dst_qp,
-            len: job_len,
+            len: wr.len,
             sent: 0,
             signaled: wr.signaled,
             remote_gpa: wr.remote.map(|r| r.gpa).unwrap_or(Gpa::new(0)),
@@ -1113,7 +875,6 @@ impl Fabric {
                     && self.cfg.hw_jitter == 0.0
                     && self.faults.is_none()
                     && self.nodes.len() == 2
-                    && !matches!(plan.job.kind, JobKind::McastSend { .. } | JobKind::UdSend)
                     && {
                         let n = &self.nodes[node.index()];
                         n.next_retry.is_none()
@@ -1515,88 +1276,19 @@ impl Fabric {
         } else {
             None
         };
-        match plan.job.kind {
-            JobKind::McastSend { group } => {
-                // UD completions are local: the datagram left the HCA.
-                if plan.job_finished && plan.job.signaled {
-                    self.agenda.schedule_at(
-                        t,
-                        Timer::SenderComplete {
-                            node: plan.job.src_node,
-                            qp: plan.job.qp,
-                            wr_id: plan.job.wr_id,
-                            opcode: plan.job.opcode,
-                            byte_len: plan.job.len,
-                        },
-                    );
-                }
-                // A wire fault on the sender's single egress serialization
-                // loses every replica; UD has no retransmission, so the
-                // datagram simply vanishes (the local completion stands).
-                if wire_fault.is_some() {
-                    self.kick_link(node, t);
-                    return Ok(());
-                }
-                // Switch replication: one egress serialization, one ingress
-                // arrival per member.
-                let members = self
-                    .mcast_groups
-                    .get(group.index())
-                    .cloned()
-                    .unwrap_or_default();
-                for (dst_node, dst_qp) in members {
-                    // The ingress cursor advances for every chunk; only the
-                    // final one produces receiver-side effects, so only it
-                    // gets a timer.
-                    let delivery = self.ingress_delivery(dst_node, arrival, chunk_ser);
-                    if plan.job_finished {
-                        let mut member_job = plan.job.clone();
-                        member_job.kind = JobKind::UdSend;
-                        member_job.dst_node = dst_node;
-                        member_job.dst_qp = dst_qp;
-                        self.agenda
-                            .schedule_at(delivery, Timer::Deliver { job: member_job });
-                    }
-                }
-            }
-            JobKind::UdSend => {
-                if plan.job_finished && plan.job.signaled {
-                    self.agenda.schedule_at(
-                        t,
-                        Timer::SenderComplete {
-                            node: plan.job.src_node,
-                            qp: plan.job.qp,
-                            wr_id: plan.job.wr_id,
-                            opcode: plan.job.opcode,
-                            byte_len: plan.job.len,
-                        },
-                    );
-                }
-                if wire_fault.is_none() {
-                    let delivery = self.ingress_delivery(plan.job.dst_node, arrival, chunk_ser);
-                    if plan.job_finished {
-                        self.agenda
-                            .schedule_at(delivery, Timer::Deliver { job: plan.job });
-                    }
-                }
-            }
-            _ => {
-                // RC transports retransmit: a lost or corrupted message is
-                // re-serialized after the transport timeout, re-consuming
-                // egress bandwidth (the paper's "restored latency" under
-                // injected loss).
-                if wire_fault.is_some() {
-                    self.on_rc_wire_fault(t, plan.job);
-                } else {
-                    // Every chunk advances the destination's ingress cursor;
-                    // only the message's final chunk triggers receiver-side
-                    // effects, so intermediate chunks get no timer at all.
-                    let delivery = self.ingress_delivery(plan.job.dst_node, arrival, chunk_ser);
-                    if plan.job_finished {
-                        self.agenda
-                            .schedule_at(delivery, Timer::Deliver { job: plan.job });
-                    }
-                }
+        // RC transports retransmit: a lost or corrupted message is
+        // re-serialized after the transport timeout, re-consuming egress
+        // bandwidth (the paper's "restored latency" under injected loss).
+        if wire_fault.is_some() {
+            self.on_rc_wire_fault(t, plan.job);
+        } else {
+            // Every chunk advances the destination's ingress cursor; only
+            // the message's final chunk triggers receiver-side effects, so
+            // intermediate chunks get no timer at all.
+            let delivery = self.ingress_delivery(plan.job.dst_node, arrival, chunk_ser);
+            if plan.job_finished {
+                self.agenda
+                    .schedule_at(delivery, Timer::Deliver { job: plan.job });
             }
         }
         self.kick_link(node, t);
@@ -1653,36 +1345,12 @@ impl Fabric {
             if self.recovery {
                 // Connection manager armed: no error completion, no flush.
                 // The message (and the QP's backlog) is journaled and the
-                // QP cycles through reconnection; for a lost read response
-                // the replay restarts the response stream, so the initiator
-                // eventually sees its success CQE instead of RetryExceeded.
+                // QP cycles through reconnection.
                 self.fail_qp_with_journal(t, job);
                 return;
             }
-            // A lost read *response* times out at the initiator: the error
-            // completion and the ERROR transition belong to the requester's
-            // QP, not the responder's.
-            if let JobKind::ReadResponse {
-                initiator_wr,
-                initiator_qp,
-                ..
-            } = &job.kind
-            {
-                let (wr, qp) = (*initiator_wr, *initiator_qp);
-                self.write_send_cqe(
-                    t,
-                    job.dst_node,
-                    qp,
-                    wr,
-                    Opcode::RdmaRead,
-                    WcStatus::RetryExceeded,
-                    job.len,
-                );
-                let _ = self.set_qp_error(job.dst_node, qp, t);
-            } else {
-                self.complete_sender_err(t, &job, WcStatus::RetryExceeded);
-                let _ = self.set_qp_error(job.src_node, job.qp, t);
-            }
+            self.complete_sender_err(t, &job, WcStatus::RetryExceeded);
+            let _ = self.set_qp_error(job.src_node, job.qp, t);
             return;
         }
         if let Some(n) = self.nodes.get_mut(job.src_node.index()) {
@@ -2014,11 +1682,7 @@ impl Fabric {
                 ],
             );
         }
-        match job.kind.clone() {
-            JobKind::UdSend => self.deliver_ud(t, job),
-            JobKind::McastSend { .. } => Err(FabricError::InternalInconsistency(
-                "multicast job reached final delivery without fanning out".into(),
-            )),
+        match job.kind {
             JobKind::Send => self.deliver_two_sided(t, job, None),
             JobKind::WriteImm => {
                 // Place the data first, then consume a receive.
@@ -2048,79 +1712,7 @@ impl Fabric {
                 self.recycle_payload(job.payload.take());
                 Ok(())
             }
-            JobKind::ReadRequest {
-                resp_len,
-                remote_gpa,
-                rkey,
-                local_gpa,
-                lkey,
-            } => self.start_read_response(t, job, resp_len, remote_gpa, rkey, local_gpa, lkey),
-            JobKind::ReadResponse {
-                local_gpa,
-                lkey,
-                initiator_wr,
-                initiator_qp,
-            } => self.finish_read(t, job, local_gpa, lkey, initiator_wr, initiator_qp),
         }
-    }
-
-    /// Unreliable-datagram arrival: consume a receive WQE if present,
-    /// otherwise drop silently (UD has no NAKs; the sender never learns).
-    fn deliver_ud(&mut self, t: SimTime, mut job: EgressJob) -> Result<(), FabricError> {
-        let dst = job.dst_node;
-        let payload = job.payload.take();
-        let Some(n) = self.nodes.get_mut(dst.index()) else {
-            return Ok(());
-        };
-        let rr = match n.qps.get_mut(&job.dst_qp) {
-            Some(qp) if qp.qp_type == QpType::Ud => qp.rq.pop_front(),
-            _ => None,
-        };
-        let rr = match rr {
-            Some(rr) => rr,
-            None => {
-                n.counters.ud_drops += 1;
-                self.recycle_payload(payload);
-                return Ok(());
-            }
-        };
-        if rr.len >= job.len {
-            if let Some(payload) = &payload {
-                let pd = n.qps.get(&job.dst_qp).map(|q| q.pd);
-                if let Ok(mem) = n.tpt.check(rr.lkey, rr.gpa, job.len, Need::LocalWrite, pd) {
-                    let _ = mem.dma_write(rr.gpa, payload);
-                }
-            }
-        }
-        let (recv_cq, counter) = match n.qps.get_mut(&job.dst_qp) {
-            Some(qp) => (qp.recv_cq, qp.next_rq_counter()),
-            None => {
-                self.recycle_payload(payload);
-                return Ok(());
-            }
-        };
-        let cqe = Cqe {
-            wr_id: rr.wr_id,
-            qp_num: job.dst_qp,
-            byte_len: job.len,
-            wqe_counter: counter,
-            opcode: Opcode::Recv,
-            status: WcStatus::Success,
-            imm_data: job.imm,
-        };
-        Self::push_cqe(n, job.dst_qp, recv_cq, cqe);
-        self.outputs.push((
-            t,
-            FabricEvent::RecvComplete {
-                node: dst,
-                qp: job.dst_qp,
-                wr_id: rr.wr_id,
-                byte_len: job.len,
-                imm: None,
-            },
-        ));
-        self.recycle_payload(payload);
-        Ok(())
     }
 
     /// Send / WriteImm arrival: consume a receive WQE and write a CQE.
@@ -2279,127 +1871,6 @@ impl Fabric {
         if let Some(payload) = &job.payload {
             mem.dma_write(job.remote_gpa, payload)
                 .map_err(|_| WcStatus::RemoteAccessError)?;
-        }
-        Ok(())
-    }
-
-    /// A read request arrived at the responder: validate and stream back.
-    #[allow(clippy::too_many_arguments)]
-    fn start_read_response(
-        &mut self,
-        t: SimTime,
-        job: EgressJob,
-        resp_len: u32,
-        remote_gpa: Gpa,
-        rkey: u32,
-        local_gpa: Gpa,
-        lkey: u32,
-    ) -> Result<(), FabricError> {
-        self.settle_node(job.dst_node, t, false);
-        let responder = job.dst_node;
-        let payload = {
-            let n = match self.nodes.get_mut(responder.index()) {
-                Some(n) => n,
-                None => return Ok(()),
-            };
-            match n
-                .tpt
-                .check(rkey, remote_gpa, resp_len, Need::RemoteRead, None)
-            {
-                Ok(mem) => {
-                    if resp_len <= self.cfg.payload_copy_threshold {
-                        let mem = mem.clone();
-                        let mut buf = self.pool_buf(resp_len as usize);
-                        if mem.read(remote_gpa, &mut buf).is_ok() {
-                            Some(buf)
-                        } else {
-                            self.recycle_payload(Some(buf));
-                            None
-                        }
-                    } else {
-                        None
-                    }
-                }
-                Err(_) => {
-                    self.complete_sender_err(t, &job, WcStatus::RemoteAccessError);
-                    return Ok(());
-                }
-            }
-        };
-        let seq = self.job_seq;
-        self.job_seq += 1;
-        let resp = EgressJob {
-            seq,
-            src_node: responder,
-            // Charge the responder-side QP: read traffic consumes the
-            // responder's egress bandwidth, as on real fabrics.
-            qp: job.dst_qp,
-            wr_id: job.wr_id,
-            opcode: Opcode::RdmaRead,
-            kind: JobKind::ReadResponse {
-                local_gpa,
-                lkey,
-                initiator_wr: job.wr_id,
-                initiator_qp: job.qp,
-            },
-            dst_node: job.src_node,
-            dst_qp: job.qp,
-            len: resp_len,
-            sent: 0,
-            signaled: job.signaled,
-            remote_gpa,
-            rkey,
-            imm: 0,
-            payload,
-            attempt: 0,
-            rnr_attempt: 0,
-        };
-        let n = self.nodes.get_mut(responder.index()).ok_or_else(|| {
-            FabricError::InternalInconsistency(format!(
-                "responder node {responder} vanished while starting a read response"
-            ))
-        })?;
-        n.arbiter.enqueue(resp);
-        self.kick_link(responder, t);
-        Ok(())
-    }
-
-    /// Read-response data fully arrived back at the initiator.
-    fn finish_read(
-        &mut self,
-        t: SimTime,
-        mut job: EgressJob,
-        local_gpa: Gpa,
-        lkey: u32,
-        initiator_wr: u64,
-        initiator_qp: QpNum,
-    ) -> Result<(), FabricError> {
-        let initiator = job.dst_node;
-        let payload = job.payload.take();
-        let n = match self.nodes.get_mut(initiator.index()) {
-            Some(n) => n,
-            None => return Ok(()),
-        };
-        if let Some(payload) = &payload {
-            let pd = n.qps.get(&initiator_qp).map(|q| q.pd);
-            if let Ok(mem) =
-                n.tpt
-                    .check(lkey, local_gpa, payload.len() as u32, Need::LocalWrite, pd)
-            {
-                let _ = mem.dma_write(local_gpa, payload);
-            }
-        }
-        self.recycle_payload(payload);
-        if job.signaled {
-            self.write_send_cqe(
-                t,
-                initiator,
-                initiator_qp,
-                initiator_wr,
-                Opcode::RdmaRead,
-                WcStatus::Success,
-                job.len,
-            );
         }
         Ok(())
     }

@@ -88,5 +88,5 @@ pub use mr::{MrHandle, Need, Tpt};
 pub use qp::{QpCounters, QpState, QueuePair, RecvRequest, RemoteTarget, WorkRequest};
 pub use ratelimit::TokenBucket;
 pub use topology::{Hop, RackTopology, Route, Topology, UplinkArbiter, UplinkFlow};
-pub use types::{Access, CqNum, McGroupId, NodeId, Opcode, PdId, QpNum, QpType, WcStatus};
+pub use types::{Access, CqNum, NodeId, Opcode, PdId, QpNum, WcStatus};
 pub use uar::Uar;

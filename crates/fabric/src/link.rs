@@ -21,14 +21,14 @@
 //! `resex-bench`).
 
 use crate::ratelimit::TokenBucket;
-use crate::types::{McGroupId, NodeId, Opcode, QpNum};
+use crate::types::{NodeId, Opcode, QpNum};
 use resex_simcore::ids::IdMap;
 use resex_simcore::time::SimTime;
 use resex_simmem::Gpa;
 use std::collections::{BTreeMap, VecDeque};
 
 /// What kind of transfer a job is, determining what happens on arrival.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobKind {
     /// Two-sided send: consumes a receive WQE at the destination.
     Send,
@@ -36,40 +36,6 @@ pub enum JobKind {
     Write,
     /// One-sided write that also consumes a receive WQE and delivers `imm`.
     WriteImm,
-    /// The (small) request packet of an RDMA read; on arrival the responder
-    /// streams `resp_len` bytes back.
-    ReadRequest {
-        /// Bytes the responder must return.
-        resp_len: u32,
-        /// Remote address to read from.
-        remote_gpa: Gpa,
-        /// Remote key authorizing the read.
-        rkey: u32,
-        /// Initiator-side landing buffer.
-        local_gpa: Gpa,
-        /// Initiator-side local key (already validated at post time).
-        lkey: u32,
-    },
-    /// Unreliable datagram to `dst_node`/`dst_qp`: no acknowledgement,
-    /// silent drop at a not-ready receiver.
-    UdSend,
-    /// Unreliable datagram replicated by the switch to every member of a
-    /// multicast group (serialized once on the sender's egress).
-    McastSend {
-        /// The target group.
-        group: McGroupId,
-    },
-    /// Read-response data flowing responder → initiator.
-    ReadResponse {
-        /// Initiator-side landing buffer.
-        local_gpa: Gpa,
-        /// Initiator-side local key covering the landing buffer.
-        lkey: u32,
-        /// Initiator's original work-request cookie.
-        initiator_wr: u64,
-        /// Initiator's queue pair.
-        initiator_qp: QpNum,
-    },
 }
 
 /// One transfer queued on (or in flight through) an egress link.

@@ -59,12 +59,10 @@ pub struct Tpt {
 pub enum Need {
     /// Local read (send source).
     LocalRead,
-    /// Local write (receive / read-response destination).
+    /// Local write (receive destination).
     LocalWrite,
     /// Remote write (incoming RDMA write target).
     RemoteWrite,
-    /// Remote read (incoming RDMA read source).
-    RemoteRead,
 }
 
 impl Tpt {
@@ -205,7 +203,6 @@ impl Tpt {
             Need::LocalRead => entry.access.local_read,
             Need::LocalWrite => entry.access.local_write,
             Need::RemoteWrite => entry.access.remote_write,
-            Need::RemoteRead => entry.access.remote_read,
         };
         if !ok {
             return Err(FabricError::InvalidKey {
@@ -321,9 +318,6 @@ mod tests {
             .is_ok());
         assert!(tpt
             .check(mr.rkey, Gpa::new(0), 4, Need::RemoteWrite, None)
-            .is_err());
-        assert!(tpt
-            .check(mr.rkey, Gpa::new(0), 4, Need::RemoteRead, None)
             .is_err());
     }
 

@@ -7,7 +7,7 @@
 //! from `INIT` onward, and any fatal condition drops it into `ERROR`.
 
 use crate::error::FabricError;
-use crate::types::{CqNum, NodeId, Opcode, PdId, QpNum, QpType};
+use crate::types::{CqNum, NodeId, Opcode, PdId, QpNum};
 use resex_simmem::Gpa;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -43,7 +43,7 @@ pub struct WorkRequest {
     pub wr_id: u64,
     /// Operation.
     pub opcode: Opcode,
-    /// Local key covering the source (or, for reads, destination) buffer.
+    /// Local key covering the source buffer.
     pub lkey: u32,
     /// Local buffer address.
     pub local_gpa: Gpa,
@@ -107,8 +107,6 @@ pub struct QpCounters {
 pub struct QueuePair {
     /// This QP's number.
     pub num: QpNum,
-    /// Transport type (RC by default).
-    pub qp_type: QpType,
     /// Protection domain it belongs to.
     pub pd: PdId,
     /// CQ receiving send-side completions.
@@ -143,7 +141,6 @@ impl QueuePair {
     ) -> Self {
         QueuePair {
             num,
-            qp_type: QpType::Rc,
             pd,
             send_cq,
             recv_cq,
@@ -157,22 +154,6 @@ impl QueuePair {
             rq_counter: 0,
             counters: QpCounters::default(),
         }
-    }
-
-    /// Creates a UD QP, already in `RTS` (datagram QPs need no peer
-    /// handshake).
-    pub fn new_ud(
-        num: QpNum,
-        pd: PdId,
-        send_cq: CqNum,
-        recv_cq: CqNum,
-        sq_capacity: usize,
-        rq_capacity: usize,
-    ) -> Self {
-        let mut qp = Self::new(num, pd, send_cq, recv_cq, sq_capacity, rq_capacity);
-        qp.qp_type = QpType::Ud;
-        qp.state = QpState::Rts;
-        qp
     }
 
     /// Current state.

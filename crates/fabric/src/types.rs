@@ -24,22 +24,6 @@ define_id!(
     PdId
 );
 
-define_id!(
-    /// A multicast group spanning the fabric (switch-replicated).
-    McGroupId
-);
-
-/// Transport type of a queue pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QpType {
-    /// Reliable connected: acknowledged, ordered, supports RDMA (default).
-    Rc,
-    /// Unreliable datagram: connectionless sends of at most one MTU, no
-    /// acknowledgements, silent drops when the receiver is not ready —
-    /// the transport real exchanges use for multicast market data.
-    Ud,
-}
-
 /// Verbs opcode carried by a work request and echoed in its completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
@@ -51,9 +35,8 @@ pub enum Opcode {
     /// RDMA write with immediate; also consumes a receive WQE and generates
     /// a receive completion carrying the immediate value.
     RdmaWriteImm = 2,
-    /// One-sided RDMA read; data flows from the responder back to the
-    /// initiator, consuming the *responder's* egress bandwidth.
-    RdmaRead = 3,
+    // Byte 3 stays unassigned: it decodes to `None`, so a CQE carrying it
+    // is rejected like any other unknown opcode (IBMon reads it as torn).
     /// Receive completion (never posted; only appears in CQEs).
     Recv = 4,
 }
@@ -65,7 +48,6 @@ impl Opcode {
             0 => Opcode::Send,
             1 => Opcode::RdmaWrite,
             2 => Opcode::RdmaWriteImm,
-            3 => Opcode::RdmaRead,
             4 => Opcode::Recv,
             _ => return None,
         })
@@ -123,12 +105,10 @@ impl WcStatus {
 pub struct Access {
     /// Local read (always required for sends).
     pub local_read: bool,
-    /// Local write (required for receive and read-response placement).
+    /// Local write (required for receive placement).
     pub local_write: bool,
     /// Remote write (required for incoming RDMA writes).
     pub remote_write: bool,
-    /// Remote read (required for incoming RDMA reads).
-    pub remote_read: bool,
 }
 
 impl Access {
@@ -137,7 +117,6 @@ impl Access {
         local_read: true,
         local_write: true,
         remote_write: false,
-        remote_read: false,
     };
 
     /// Full local + remote access (typical for benchmark buffers).
@@ -145,7 +124,6 @@ impl Access {
         local_read: true,
         local_write: true,
         remote_write: true,
-        remote_read: true,
     };
 }
 
@@ -159,11 +137,12 @@ mod tests {
             Opcode::Send,
             Opcode::RdmaWrite,
             Opcode::RdmaWriteImm,
-            Opcode::RdmaRead,
             Opcode::Recv,
         ] {
             assert_eq!(Opcode::from_u8(op as u8), Some(op));
         }
+        // Byte 3 is unassigned and must not decode.
+        assert_eq!(Opcode::from_u8(3), None);
         assert_eq!(Opcode::from_u8(200), None);
     }
 

@@ -492,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn unassigned_opcode_byte_reads_as_torn() {
+        let (mem, mut cq, mut mon) = setup(8);
+        push(&mut cq, 1, 0, 1024);
+        mon.scan(t(0)).unwrap();
+        // A CQE lands in slot 1 carrying opcode byte 3, which names no
+        // opcode: it is a torn slot, not a completion.
+        push(&mut cq, 2, 1, 2048);
+        let opcode_at = cq.ring_gpa().add(CQE_SIZE as u64 + 18);
+        mem.write(opcode_at, &[3]).unwrap();
+        let s = mon.scan(t(1)).unwrap();
+        assert_eq!(s.torn, 1);
+        assert_eq!(s.completions, 0);
+        assert_eq!(s.bytes, 0);
+    }
+
+    #[test]
     fn mapping_too_small_is_rejected() {
         let mem = MemoryHandle::new(64 * 1024);
         let gpa = mem.alloc_bytes(4 * CQE_SIZE as u64).unwrap();

@@ -8,8 +8,7 @@
 //! loop consumes (`GetMTUs` in the paper's pseudo-code).
 //!
 //! The per-VM table is an [`IdMap`] indexed by domain id: lookups are a
-//! bounds check, and [`IbMon::monitored`] lists domains in ascending order
-//! without sorting.
+//! bounds check.
 
 use crate::cq_monitor::{CqMonitor, ScanSample};
 use resex_faults::{FaultSchedule, FaultStats, IbmonFaults};
@@ -139,11 +138,6 @@ impl IbMon {
             .cqs
             .push(mon);
         Ok(())
-    }
-
-    /// The set of monitored VMs, in ascending domain order.
-    pub fn monitored(&self) -> Vec<DomainId> {
-        self.vms.keys().collect()
     }
 
     /// Scans all of one VM's rings and returns the interval usage.
@@ -403,15 +397,6 @@ mod tests {
         assert!(!u.stale);
         assert_eq!(u.completions, 1);
         assert_eq!(ibmon.fault_stats(), resex_faults::FaultStats::default());
-    }
-
-    #[test]
-    fn monitored_lists_vms() {
-        let (hv, dom0, vm, _cq, gpa) = setup();
-        let mut ibmon = IbMon::new(IbMonConfig::default());
-        assert!(ibmon.monitored().is_empty());
-        ibmon.watch_cq(&hv, dom0, vm, gpa, 64).unwrap();
-        assert_eq!(ibmon.monitored(), vec![vm]);
     }
 
     #[test]
