@@ -2,8 +2,8 @@
 # Local CI: format, lint, build, and the tier-1 test suite — fully offline.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick  fast tier: fmt/clippy/build/test (plus fmt/clippy of the
-#            benchmark crate) and the byte-identity gates
+#   --quick  fast tier: fmt/clippy/build/test (plus fmt and `--locked`
+#            clippy of the benchmark crate) and the byte-identity gates
 #            (thread-count, profiler zero-perturbation, committed-baseline,
 #            full-scale figures vs the committed repro_full.json).
 #            Minutes, suitable for every push. Windowed-vs-whole calendar
@@ -35,11 +35,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The benchmark crate (benchmark/) is a workspace of its own, so neither
 # `--workspace` call above reaches it: lint it here, so a crate API change
-# that breaks its build fails CI. Its tests (benchmark/check.sh) stay out
-# until its smoke test accepts a zero `ibmon.scan_alloc_bytes`.
-echo "==> benchmark/: cargo fmt --check, cargo clippy -- -D warnings"
+# that breaks its build fails CI. `--locked` makes a crate dependency edit
+# that would rewrite benchmark/Cargo.lock fail here instead of silently
+# changing the lock file. Its tests (benchmark/check.sh) stay out until
+# its smoke test accepts a zero `ibmon.scan_alloc_bytes`.
+echo "==> benchmark/: cargo fmt --check, cargo clippy --locked -- -D warnings"
 (cd benchmark && cargo fmt --check &&
-    cargo clippy --offline --release --all-targets -- -D warnings)
+    cargo clippy --offline --locked --release --all-targets -- -D warnings)
 
 # --workspace everywhere: the repo root is itself a package (resex-repro),
 # so a bare `cargo build` would build only it — leaving the resex-bench

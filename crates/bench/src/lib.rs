@@ -1,13 +1,12 @@
 #![forbid(unsafe_code)]
-//! # resex-bench — benchmarks and the figure-reproduction harness
+//! # resex-bench — the figure-reproduction harness
 //!
-//! * Criterion benches (`benches/`): data-path micro-benchmarks (`fabric`,
-//!   `scheduler`, `finance`), ResEx control-plane cost (`policies`),
-//!   whole-figure wall-clock (`figures`), and fidelity/cost ablations
-//!   (`ablation`).
 //! * `src/bin/repro.rs`: regenerates every figure of the paper —
 //!   `cargo run -p resex-bench --release --bin repro -- all` — and, as
 //!   `repro profile [target]`, runs the same figures under the DES
 //!   self-profiler and emits the [`report::ProfileReport`] perf artifact.
+//! * `src/bin/simulate.rs`: runs one scenario read from a JSON file.
+//!
+//! Per-layer timings live in the separate `benchmark/` crate.
 
 pub mod report;

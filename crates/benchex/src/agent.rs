@@ -45,7 +45,6 @@ impl Default for AgentConfig {
 pub struct ReportingAgent {
     cfg: AgentConfig,
     last_report: SimTime,
-    reports_sent: u64,
 }
 
 impl ReportingAgent {
@@ -54,13 +53,7 @@ impl ReportingAgent {
         ReportingAgent {
             cfg,
             last_report: SimTime::ZERO,
-            reports_sent: 0,
         }
-    }
-
-    /// Number of reports generated.
-    pub fn reports_sent(&self) -> u64 {
-        self.reports_sent
     }
 
     /// Generates a report over records newer than the previous report.
@@ -78,7 +71,6 @@ impl ReportingAgent {
             wtime.push(r.wtime.as_micros_f64());
         }
         self.last_report = now;
-        self.reports_sent += 1;
         if total.count() == 0 {
             return (None, self.cfg.report_cost);
         }
@@ -136,7 +128,6 @@ mod tests {
         let (r, cost) = agent.report(&w, SimTime::from_micros(50));
         assert!(r.is_none());
         assert!(!cost.is_zero());
-        assert_eq!(agent.reports_sent(), 1);
     }
 
     #[test]

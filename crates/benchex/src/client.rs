@@ -253,15 +253,8 @@ impl Client {
         }
     }
 
-    /// A previously armed timer fired.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<ClientAction> {
-        let mut out = Vec::new();
-        self.on_timer_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Self::on_timer`]: pushes actions into a
-    /// caller-owned scratch buffer instead of returning a fresh `Vec`.
+    /// A previously armed timer fired. Pushes the resulting actions into a
+    /// caller-owned scratch buffer, so the hot path allocates nothing.
     pub fn on_timer_into(&mut self, now: SimTime, out: &mut Vec<ClientAction>) {
         match self.mode {
             ClientMode::ClosedLoop { .. } => {
@@ -287,6 +280,12 @@ mod tests {
 
     fn trace() -> TraceGen {
         TraceGen::new(TraceProfile::default(), 42)
+    }
+
+    fn on_timer(c: &mut Client, now: SimTime) -> Vec<ClientAction> {
+        let mut out = Vec::new();
+        c.on_timer_into(now, &mut out);
+        out
     }
 
     #[test]
@@ -326,7 +325,7 @@ mod tests {
             }
             other => panic!("expected timer, got {other:?}"),
         }
-        let acts = c.on_timer(us(250));
+        let acts = on_timer(&mut c, us(250));
         assert!(matches!(acts[0], ClientAction::Send(_)));
     }
 
@@ -338,7 +337,7 @@ mod tests {
             ClientAction::ArmTimer(t) => assert_eq!(t, us(0)),
             other => panic!("expected timer, got {other:?}"),
         }
-        let acts = c.on_timer(us(0));
+        let acts = on_timer(&mut c, us(0));
         assert_eq!(acts.len(), 2);
         assert!(matches!(acts[0], ClientAction::Send(_)));
         match &acts[1] {
@@ -360,9 +359,9 @@ mod tests {
             7,
         );
         c.start(us(0));
-        c.on_timer(us(0));
-        c.on_timer(us(10));
-        c.on_timer(us(20));
+        on_timer(&mut c, us(0));
+        on_timer(&mut c, us(10));
+        on_timer(&mut c, us(20));
         assert_eq!(c.outstanding(), 3);
         assert_eq!(c.sent(), 3);
     }

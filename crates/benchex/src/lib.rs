@@ -29,4 +29,4 @@ pub use client::{
 pub use latency::{LatencyRecord, LatencySummary, LatencyWindow};
 pub use request::{TransactionRequest, TransactionResponse, REQUEST_WIRE_BYTES};
 pub use server::{Server, ServerAction, ServerConfig, RESPONSE_BYTES_PER_OPTION};
-pub use trace::{Burstiness, RecordedTrace, TaskMix, TraceGen, TraceProfile};
+pub use trace::{Burstiness, TaskMix, TraceGen, TraceProfile};

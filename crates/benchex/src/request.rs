@@ -55,7 +55,6 @@ fn encode_task(task: &PricingTask, buf: &mut impl BufMut) {
         TaskKind::Risk => (1, 0),
         TaskKind::Reprice { steps } => (2, steps),
         TaskKind::ImpliedVol => (3, 0),
-        TaskKind::MonteCarlo { paths } => (4, paths),
     };
     buf.put_u8(kind);
     buf.put_u32_le(param);
@@ -73,7 +72,6 @@ fn decode_task(buf: &mut impl Buf) -> Option<PricingTask> {
         1 => TaskKind::Risk,
         2 => TaskKind::Reprice { steps: param },
         3 => TaskKind::ImpliedVol,
-        4 => TaskKind::MonteCarlo { paths: param },
         _ => return None,
     };
     Some(PricingTask {
@@ -203,6 +201,19 @@ mod tests {
         let mut wire = req().encode();
         wire[0] ^= 0xFF; // corrupt magic
         assert_eq!(TransactionRequest::decode(&wire), None);
+    }
+
+    #[test]
+    fn retired_kind_tag_is_rejected() {
+        // The task kind byte follows magic, id, client id and timestamp.
+        const KIND_AT: usize = 24;
+        let mut wire = req().encode();
+        assert_eq!(wire[KIND_AT], 2, "Reprice's tag");
+        // Tag 4 (a retired Monte Carlo task) decodes like any unknown tag.
+        for tag in [4, 5, 0xFF] {
+            wire[KIND_AT] = tag;
+            assert_eq!(TransactionRequest::decode(&wire), None, "tag {tag}");
+        }
     }
 
     #[test]

@@ -188,18 +188,14 @@ impl Server {
         }
     }
 
-    /// The response's send completion arrived.
+    /// The response's send completion arrived. Returns the completed
+    /// request's latency record (the platform feeds it to run metrics; the
+    /// same record lands in [`Server::window`] for the agent) and what the
+    /// server does next.
     ///
     /// # Panics
     /// If the server was not sending (platform wiring bug).
-    pub fn on_send_complete(&mut self, now: SimTime) -> ServerAction {
-        self.on_send_complete_with_record(now).1
-    }
-
-    /// Like [`Server::on_send_complete`], but also returns the completed
-    /// request's latency record (the platform feeds it to run metrics; the
-    /// same record lands in [`Server::window`] for the agent).
-    pub fn on_send_complete_with_record(&mut self, now: SimTime) -> (LatencyRecord, ServerAction) {
+    pub fn on_send_complete(&mut self, now: SimTime) -> (LatencyRecord, ServerAction) {
         assert_eq!(
             self.state,
             State::Sending,
@@ -319,7 +315,7 @@ mod tests {
             }
         );
         // Send completion at t=204µs.
-        assert_eq!(s.on_send_complete(us(204)), ServerAction::Idle);
+        assert_eq!(s.on_send_complete(us(204)).1, ServerAction::Idle);
         assert_eq!(s.served(), 1);
         let rec = s.window.since(SimTime::ZERO).next().unwrap();
         assert_eq!(rec.ptime, SimDuration::from_micros(42), "40 idle + 2 poll");
@@ -338,7 +334,7 @@ mod tests {
         assert_eq!(s.backlog(), 2);
         s.on_compute_done(us(100));
         // Completing request 1 immediately dequeues request 2.
-        let a = s.on_send_complete(us(160));
+        let a = s.on_send_complete(us(160)).1;
         assert!(matches!(a, ServerAction::StartCompute { .. }));
         s.on_compute_done(us(260));
         s.on_send_complete(us(320));

@@ -4,8 +4,10 @@
 //! workloads present in an exchange like ICE". Real ICE traces are
 //! proprietary, so [`TraceGen`] synthesizes transaction mixes with the
 //! load-shape features that matter to the experiments: a configurable blend
-//! of light quotes, medium risk checks, and heavy repricings, plus optional
-//! burst regimes (markets alternate calm and frantic periods).
+//! of light quotes, medium risk checks, implied-vol solves and heavy
+//! repricings, plus optional burst regimes (markets alternate calm and
+//! frantic periods). Traces are generated, never recorded: a profile and a
+//! seed reproduce the same transaction sequence.
 
 use resex_finance::{PricingTask, TaskKind};
 use resex_simcore::rng::SimRng;
@@ -130,31 +132,11 @@ impl TraceProfile {
     }
 }
 
-/// A fixed transaction sequence, recordable to / loadable from JSON — the
-/// mechanism behind the paper's "traces which model the I/O and processing
-/// workloads present in an exchange": generate once, inspect or edit, then
-/// replay byte-identically across experiments.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RecordedTrace {
-    /// The transactions, in order.
-    pub tasks: Vec<PricingTask>,
-}
-
-impl RecordedTrace {
-    /// Records `n` transactions from a generator.
-    pub fn capture(gen: &mut TraceGen, n: usize) -> Self {
-        RecordedTrace {
-            tasks: (0..n).map(|_| gen.next_task()).collect(),
-        }
-    }
-}
-
-/// Deterministic transaction generator (or replayer).
+/// Deterministic transaction generator.
 pub struct TraceGen {
     profile: TraceProfile,
     rng: SimRng,
     emitted: u64,
-    replay: Option<Vec<PricingTask>>,
 }
 
 impl TraceGen {
@@ -164,41 +146,11 @@ impl TraceGen {
             profile,
             rng: SimRng::seed_from_u64(seed),
             emitted: 0,
-            replay: None,
         }
-    }
-
-    /// Creates a replayer over a recorded trace (cycles at the end).
-    ///
-    /// # Panics
-    /// If the trace is empty.
-    pub fn replay(trace: RecordedTrace) -> Self {
-        assert!(!trace.tasks.is_empty(), "cannot replay an empty trace");
-        TraceGen {
-            profile: TraceProfile::default(),
-            rng: SimRng::seed_from_u64(0),
-            emitted: 0,
-            replay: Some(trace.tasks),
-        }
-    }
-
-    /// Transactions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// The next transaction's pricing task.
     pub fn next_task(&mut self) -> PricingTask {
-        if let Some(tasks) = &self.replay {
-            let task = tasks[(self.emitted % tasks.len() as u64) as usize];
-            self.emitted += 1;
-            return task;
-        }
-        self.next_generated()
-    }
-
-    /// The next freshly generated task (bypasses replay).
-    fn next_generated(&mut self) -> PricingTask {
         let m = self.profile.mix;
         let total = (m.quote + m.risk + m.reprice + m.implied).max(1) as u64;
         let roll = self.rng.next_below(total) as u32;
@@ -316,36 +268,6 @@ mod tests {
         assert_eq!(p.base_batch, 36);
         // Sub-unit amplification never shrinks the honest batch.
         assert_eq!(TraceProfile::amplified_quotes(8, 0.5).base_batch, 8);
-    }
-
-    #[test]
-    fn recorded_trace_replays_identically() {
-        let mut original = TraceGen::new(TraceProfile::default(), 11);
-        let recorded = RecordedTrace::capture(&mut original, 25);
-        let mut fresh = TraceGen::new(TraceProfile::default(), 11);
-        let mut replayer = TraceGen::replay(recorded.clone());
-        for i in 0..25 {
-            let expect = fresh.next_task();
-            assert_eq!(recorded.tasks[i], expect);
-            assert_eq!(replayer.next_task(), expect);
-        }
-    }
-
-    #[test]
-    fn replay_cycles_at_the_end() {
-        let mut g = TraceGen::new(TraceProfile::uniform_quotes(4), 1);
-        let recorded = RecordedTrace::capture(&mut g, 3);
-        let mut r = TraceGen::replay(recorded.clone());
-        let first_pass: Vec<_> = (0..3).map(|_| r.next_task()).collect();
-        let second_pass: Vec<_> = (0..3).map(|_| r.next_task()).collect();
-        assert_eq!(first_pass, second_pass, "wraps around");
-        assert_eq!(r.emitted(), 6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_replay_rejected() {
-        TraceGen::replay(RecordedTrace { tasks: vec![] });
     }
 
     #[test]

@@ -74,7 +74,7 @@ proptest! {
                     resex_benchex::ServerAction::PostResponse { request_id, .. } => {
                         *pending = Some(request_id);
                         *t += SimDuration::from_micros(64);
-                        let (rec, next) = server.on_send_complete_with_record(*t);
+                        let (rec, next) = server.on_send_complete(*t);
                         prop_assert_eq!(rec.request_id, pending.take().unwrap());
                         served.push(rec.request_id);
                         act = next;

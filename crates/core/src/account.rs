@@ -150,7 +150,7 @@ mod tests {
     fn can_overdraw_within_interval() {
         let mut a = ResoAccount::new(Resos::from_whole(10), Resos::from_whole(10));
         a.charge_io(Resos::from_whole(25));
-        assert!(a.io_remaining().is_negative());
+        assert!(a.io_remaining() < Resos::ZERO);
         assert!(a.fraction_remaining() < 0.0);
     }
 

@@ -54,8 +54,7 @@ pub struct ResExConfig {
     /// toward 1 when no interference is detected (the "back off" behaviour
     /// of Figure 8).
     pub rate_decay: f64,
-    /// How budget-style policies (FreeMarket, DemandPricing) throttle a VM
-    /// whose balance runs low.
+    /// How FreeMarket throttles a VM whose balance runs low.
     pub depletion: DepletionMode,
     /// Watchdog: consecutive stale IBMon intervals after which the manager
     /// stops trusting the decayed last-known rate and fails safe — cap to

@@ -15,8 +15,8 @@ use resex_simcore::ids::IdMap;
 
 /// Computes the throttled cap for a low-balance VM under the configured
 /// depletion mode. `fraction` is the remaining balance fraction (may be
-/// negative when overdrawn); shared by FreeMarket and DemandPricing.
-pub(crate) fn depleted_cap(
+/// negative when overdrawn).
+fn depleted_cap(
     mode: DepletionMode,
     current: u32,
     fraction: f64,

@@ -16,8 +16,7 @@
 //!
 //! Two pricing policies from the paper ([`FreeMarket`] — maximize
 //! utilization, Algorithm 1; [`IoShares`] — lower latency variation via
-//! congestion pricing, Algorithm 2) plus two extension baselines
-//! ([`StaticReserve`], [`BufferRatio`]) plug into the [`PricingPolicy`]
+//! congestion pricing, Algorithm 2) plug into the [`PricingPolicy`]
 //! trait; [`ResExManager`] is the mechanism that runs them.
 
 pub mod account;
@@ -26,7 +25,6 @@ pub mod freemarket;
 pub mod ioshares;
 pub mod journal;
 pub mod manager;
-pub mod policy_ext;
 pub mod pricing;
 pub mod resos;
 
@@ -36,6 +34,5 @@ pub use freemarket::FreeMarket;
 pub use ioshares::{IoShares, SlaTarget};
 pub use journal::{DecisionJournal, IntervalEntry, JournalRecord};
 pub use manager::{IntervalOutcome, ManagerAction, ResExManager, VmCharge};
-pub use policy_ext::{BufferRatio, DemandPricing, StaticReserve};
 pub use pricing::{IntervalCtx, LatencyFeedback, PricingPolicy, VmId, VmSnapshot, VmVerdict};
 pub use resos::Resos;

@@ -738,7 +738,7 @@ mod tests {
         }
         let debt = m.account(A).unwrap().total_remaining();
         assert!(
-            debt.is_negative(),
+            debt < Resos::ZERO,
             "overdrawn before the boundary: {debt:?}"
         );
         // Interval 1000 opens the next epoch: the overdraft is carried, so

@@ -55,12 +55,6 @@ impl Resos {
         self.0 as f64 / 1000.0
     }
 
-    /// True if the balance is negative (overdrawn).
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
     /// Charges `units` of a resource at `rate` Resos per unit, rounding up
     /// (against the VM). Charges beyond the `i64` milli-Reso range saturate
     /// at `i64::MAX` — an overcharge, never a sign flip that would credit
@@ -101,11 +95,6 @@ impl Resos {
         } else {
             self.0 as f64 / total.0 as f64
         }
-    }
-
-    /// Clamps negative balances to zero.
-    pub fn max_zero(self) -> Resos {
-        Resos(self.0.max(0))
     }
 }
 
@@ -218,9 +207,7 @@ mod tests {
     #[test]
     fn negativity() {
         let x = Resos::from_whole(1) - Resos::from_whole(2);
-        assert!(x.is_negative());
-        assert_eq!(x.max_zero(), Resos::ZERO);
-        assert!(!Resos::ZERO.is_negative());
+        assert!(x < Resos::ZERO);
     }
 
     #[test]

@@ -135,16 +135,6 @@ impl FabricConfig {
         SimDuration::from_nanos(ns as u64)
     }
 
-    /// Number of MTUs needed to carry `bytes` (at least 1 for any message).
-    pub fn mtus_for(&self, bytes: u32) -> u32 {
-        bytes.div_ceil(self.mtu_bytes).max(1)
-    }
-
-    /// Link capacity in MTUs per second — the paper's aggregate I/O supply.
-    pub fn mtus_per_second(&self) -> u64 {
-        self.link_bandwidth / self.mtu_bytes as u64
-    }
-
     /// One-way latency from sender NIC to receiver NIC, excluding
     /// serialization.
     pub fn one_way_latency(&self) -> SimDuration {
@@ -198,7 +188,7 @@ mod tests {
     fn default_matches_paper_numbers() {
         let c = FabricConfig::default();
         assert_eq!(
-            c.mtus_per_second(),
+            c.link_bandwidth / c.mtu_bytes as u64,
             1_048_576,
             "paper: 1,048,576 MTUs/epoch"
         );
@@ -215,16 +205,6 @@ mod tests {
         // 64 KiB at 1 GiB/s ≈ 61 µs.
         assert!((t64.as_micros_f64() - 61.0).abs() < 1.0, "{t64}");
         assert_eq!(c.serialization_time(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mtus_for_rounds_up() {
-        let c = FabricConfig::default();
-        assert_eq!(c.mtus_for(0), 1, "even a 0-byte message occupies a packet");
-        assert_eq!(c.mtus_for(1), 1);
-        assert_eq!(c.mtus_for(1024), 1);
-        assert_eq!(c.mtus_for(1025), 2);
-        assert_eq!(c.mtus_for(2 * 1024 * 1024), 2048);
     }
 
     #[test]

@@ -372,11 +372,6 @@ impl LinkArbiter {
         self.pending_bytes
     }
 
-    /// Number of queue pairs with queued work.
-    pub fn active_flows(&self) -> usize {
-        self.flows.values().filter(|f| !f.queue.is_empty()).count()
-    }
-
     /// The single queue pair with queued work, when exactly one flow is
     /// active and it carries no rate limit. The batched serialization fast
     /// path keys on this: with one unlimited flow every future grant is
@@ -564,17 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn active_flows_counts_queues() {
-        let mut a = LinkArbiter::new();
-        a.enqueue(job(1, 0, 1024));
-        a.enqueue(job(2, 1, 1024));
-        a.enqueue(job(3, 1, 1024));
-        assert_eq!(a.active_flows(), 2);
-        grant(&mut a, t0()).unwrap();
-        assert_eq!(a.active_flows(), 1);
-    }
-
-    #[test]
     fn purge_qp_flushes_queue_and_accounting() {
         let mut a = LinkArbiter::new();
         a.enqueue(job(1, 0, 40 * 1024));
@@ -587,7 +571,6 @@ mod tests {
         assert_eq!(purged.len(), 2);
         assert_eq!(purged[0].sent, GRANT);
         assert_eq!(a.pending_bytes(), 2048, "only qp 1's job remains");
-        assert_eq!(a.active_flows(), 1);
         // The stale ring entry for qp 0 is skipped; qp 1 is served next.
         let g = grant(&mut a, t0()).unwrap();
         assert_eq!(g.job.qp, QpNum::new(1));

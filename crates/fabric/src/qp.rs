@@ -249,16 +249,6 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Number of send WQEs waiting for the engine.
-    pub fn sq_depth(&self) -> usize {
-        self.sq.len()
-    }
-
-    /// Number of posted receives available.
-    pub fn rq_depth(&self) -> usize {
-        self.rq.len()
-    }
-
     /// Advances and returns the send-queue completion counter.
     pub(crate) fn next_sq_counter(&mut self) -> u16 {
         let c = self.sq_counter;
@@ -342,7 +332,7 @@ mod tests {
         q.to_rtr((NodeId::new(1), QpNum::new(2))).unwrap();
         q.to_rts().unwrap();
         q.post_send(wr(1)).unwrap();
-        assert_eq!(q.sq_depth(), 1);
+        assert_eq!(q.sq.len(), 1);
         assert_eq!(q.counters.posted_sends, 1);
     }
 
@@ -352,7 +342,7 @@ mod tests {
         assert!(q.post_recv(rr(1)).is_err(), "not in RESET");
         q.to_init().unwrap();
         q.post_recv(rr(1)).unwrap();
-        assert_eq!(q.rq_depth(), 1);
+        assert_eq!(q.rq.len(), 1);
     }
 
     #[test]
@@ -394,7 +384,7 @@ mod tests {
         q.to_error();
         assert!(q.reset().is_ok());
         assert_eq!(q.state(), QpState::Reset);
-        assert_eq!(q.sq_depth(), 0, "queued work dropped by the reset");
+        assert_eq!(q.sq.len(), 0, "queued work dropped by the reset");
         assert_eq!(q.remote(), Some((NodeId::new(1), QpNum::new(9))));
         assert_eq!(q.counters.posted_sends, 1, "lifetime counters survive");
         // Only ERROR may be reset; a live QP refuses.

@@ -54,22 +54,19 @@ impl Opcode {
     }
 }
 
-/// Completion status, mirroring the interesting subset of `ibv_wc_status`.
+/// Completion status, mirroring the subset of `ibv_wc_status` the fabric
+/// writes into CQEs. Bytes 1, 4 and 5 are unassigned: local key errors and
+/// wrong QP states fail the post itself, and a CQ overrun is counted in
+/// the CQ, so no CQE carries them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum WcStatus {
     /// Operation completed successfully.
     Success = 0,
-    /// Local memory-key validation failed at post time.
-    LocalProtectionError = 1,
     /// Remote key validation failed at the responder.
     RemoteAccessError = 2,
     /// The responder had no receive WQE posted (receiver-not-ready).
     RnrRetryExceeded = 3,
-    /// The QP was not in a state that allows the operation.
-    InvalidQpState = 4,
-    /// The completion queue overflowed and this entry was dropped.
-    CqOverrun = 5,
     /// Transport retransmission exhausted its retry budget (wire loss or
     /// persistent corruption); the QP transitions to `ERROR`.
     RetryExceeded = 6,
@@ -83,11 +80,8 @@ impl WcStatus {
     pub fn from_u8(v: u8) -> Option<WcStatus> {
         Some(match v {
             0 => WcStatus::Success,
-            1 => WcStatus::LocalProtectionError,
             2 => WcStatus::RemoteAccessError,
             3 => WcStatus::RnrRetryExceeded,
-            4 => WcStatus::InvalidQpState,
-            5 => WcStatus::CqOverrun,
             6 => WcStatus::RetryExceeded,
             7 => WcStatus::WrFlushError,
             _ => return None,
@@ -112,13 +106,6 @@ pub struct Access {
 }
 
 impl Access {
-    /// Local-only access (send sources).
-    pub const LOCAL: Access = Access {
-        local_read: true,
-        local_write: true,
-        remote_write: false,
-    };
-
     /// Full local + remote access (typical for benchmark buffers).
     pub const FULL: Access = Access {
         local_read: true,
@@ -150,17 +137,18 @@ mod tests {
     fn status_roundtrip() {
         for st in [
             WcStatus::Success,
-            WcStatus::LocalProtectionError,
             WcStatus::RemoteAccessError,
             WcStatus::RnrRetryExceeded,
-            WcStatus::InvalidQpState,
-            WcStatus::CqOverrun,
             WcStatus::RetryExceeded,
             WcStatus::WrFlushError,
         ] {
             assert_eq!(WcStatus::from_u8(st as u8), Some(st));
         }
+        // Bytes 1, 4 and 5 are unassigned and must not decode.
+        for b in [1, 4, 5, 8] {
+            assert_eq!(WcStatus::from_u8(b), None);
+        }
         assert!(WcStatus::Success.is_ok());
-        assert!(!WcStatus::CqOverrun.is_ok());
+        assert!(!WcStatus::WrFlushError.is_ok());
     }
 }

@@ -7,7 +7,7 @@ use resex_fabric::{
     Access, CqNum, Fabric, FabricConfig, FabricEvent, NodeId, Opcode, PdId, QpNum, RemoteTarget,
     UarId, WcStatus,
 };
-use resex_simcore::time::{SimDuration, SimTime};
+use resex_simcore::time::SimTime;
 use resex_simmem::{Gpa, MemoryHandle};
 
 /// One endpoint: a node with memory, PD, UAR, CQs, one QP, and a registered
@@ -482,13 +482,9 @@ fn link_utilization_accounting() {
     drain(&mut f);
     let nc = f.node_counters(a.node).unwrap();
     // 1 MiB at 1 GiB/s ≈ 976.6 µs of busy time plus the one-off WQE overhead.
-    let expect = SimDuration::from_secs_f64(1.0 / 1024.0);
+    let expect = 1.0 / 1024.0;
     let got = nc.busy.as_secs_f64();
-    assert!(
-        (got - expect.as_secs_f64()).abs() < 2e-5,
-        "busy={got}s expect≈{}s",
-        expect.as_secs_f64()
-    );
+    assert!((got - expect).abs() < 2e-5, "busy={got}s expect≈{expect}s");
     assert_eq!(nc.grants, 64, "1 MiB in 16-MTU (16 KiB) grants");
 }
 

@@ -1,11 +1,13 @@
 //! Transaction-level pricing workloads.
 //!
 //! BenchEx requests carry a [`PricingTask`]: a batch of options to value,
-//! optionally with Greeks or a binomial repricing. [`PricingTask::execute`]
-//! does the real math and also reports a deterministic *work estimate* used
-//! by the simulator to model compute time (so heavier transactions occupy
-//! the VCPU longer, exactly like the paper's configurable per-request
-//! processing times).
+//! optionally with Greeks, an implied-vol solve or a binomial repricing.
+//! [`PricingTask::work_estimate`] is the deterministic *work estimate* the
+//! simulator charges as compute time (so heavier transactions occupy the
+//! VCPU longer, exactly like the paper's configurable per-request
+//! processing times). [`PricingTask::execute`] does the real math and
+//! reports the same work units; no simulated path runs it, and the
+//! benchmark times it as its `finance.task_ns` layer.
 
 use crate::binomial::{crr_price, Exercise};
 use crate::black_scholes::{OptionKind, OptionSpec};
@@ -26,11 +28,6 @@ pub enum TaskKind {
     },
     /// Implied-vol backsolve from the quoted price.
     ImpliedVol,
-    /// Monte Carlo valuation with the given path count (heaviest).
-    MonteCarlo {
-        /// Antithetic path pairs per option.
-        paths: u32,
-    },
 }
 
 /// One unit of exchange work: value `n_options` option positions.
@@ -61,8 +58,6 @@ const UNIT_RISK: u64 = 3;
 const UNIT_LATTICE_NODE: u64 = 1;
 /// Work units for an implied-vol solve (≈ Newton iterations × quote).
 const UNIT_IMPLIED: u64 = 12;
-/// Work units per 100 Monte Carlo path pairs.
-const UNIT_MC_PER_100_PATHS: u64 = 4;
 
 impl PricingTask {
     /// Deterministically generates the i-th option of the batch.
@@ -112,11 +107,6 @@ impl PricingTask {
                     sum += implied_vol(&spec, price).unwrap_or(spec.sigma);
                     work += UNIT_IMPLIED;
                 }
-                TaskKind::MonteCarlo { paths } => {
-                    let paths = paths.max(1);
-                    sum += crate::monte_carlo::mc_price(&spec, paths, self.seed ^ i as u64).price;
-                    work += (UNIT_MC_PER_100_PATHS * paths as u64).div_ceil(100);
-                }
             }
         }
         TaskResult {
@@ -133,9 +123,6 @@ impl PricingTask {
             TaskKind::Risk => UNIT_RISK,
             TaskKind::Reprice { steps } => UNIT_LATTICE_NODE * (steps as u64 * steps as u64) / 2,
             TaskKind::ImpliedVol => UNIT_IMPLIED,
-            TaskKind::MonteCarlo { paths } => {
-                (UNIT_MC_PER_100_PATHS * paths.max(1) as u64).div_ceil(100)
-            }
         };
         (per * self.n_options as u64).max(1)
     }
@@ -212,7 +199,6 @@ mod tests {
             TaskKind::Risk,
             TaskKind::Reprice { steps: 32 },
             TaskKind::ImpliedVol,
-            TaskKind::MonteCarlo { paths: 250 },
         ] {
             let t = PricingTask {
                 kind,

@@ -13,11 +13,9 @@ pub mod batch;
 pub mod binomial;
 pub mod black_scholes;
 pub mod implied;
-pub mod monte_carlo;
 pub mod norm;
 
 pub use batch::{PricingTask, TaskKind, TaskResult};
 pub use binomial::{crr_price, Exercise};
 pub use black_scholes::{Greeks, OptionKind, OptionSpec};
 pub use implied::{implied_vol, ImpliedVolError};
-pub use monte_carlo::{mc_price, McEstimate};

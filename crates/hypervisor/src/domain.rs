@@ -8,9 +8,6 @@ define_id!(
     DomainId
 );
 
-/// The canonical id of the control domain.
-pub const DOM0: DomainId = DomainId::new(0);
-
 /// One virtual machine.
 pub struct Domain {
     /// This domain's id.
@@ -59,10 +56,5 @@ mod tests {
         assert_eq!(dom(0).cap_fraction(), None);
         assert_eq!(dom(25).cap_fraction(), Some(0.25));
         assert_eq!(dom(100).cap_fraction(), Some(1.0));
-    }
-
-    #[test]
-    fn dom0_is_domain_zero() {
-        assert_eq!(DOM0.index(), 0);
     }
 }

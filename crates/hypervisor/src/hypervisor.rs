@@ -131,11 +131,6 @@ impl Hypervisor {
         PcpuId::new(self.n_pcpus - 1)
     }
 
-    /// Number of physical CPUs.
-    pub fn pcpus(&self) -> u32 {
-        self.n_pcpus
-    }
-
     /// Creates a domain. The first domain created is dom0 (privileged by
     /// convention; pass `privileged = true` for it).
     pub fn create_domain(
@@ -263,11 +258,6 @@ impl Hypervisor {
     /// A domain's current cap (0 = uncapped).
     pub fn cap(&self, dom: DomainId) -> Result<u32, HvError> {
         Ok(self.dom(dom)?.cap_pct)
-    }
-
-    /// A domain's current weight.
-    pub fn weight(&self, dom: DomainId) -> Result<u32, HvError> {
-        Ok(self.dom(dom)?.weight)
     }
 
     // ----- workload interface --------------------------------------------

@@ -22,7 +22,7 @@ pub mod vcpu;
 pub mod xenctrl;
 pub mod xenstat;
 
-pub use domain::{Domain, DomainId, DOM0};
+pub use domain::{Domain, DomainId};
 pub use error::HvError;
 pub use hypervisor::{HvEvent, Hypervisor};
 pub use sched::{fair_shares, SchedModel, ShareReq};

@@ -68,20 +68,6 @@ impl Hypervisor {
         }
         self.set_cap(target, cap_pct, now)
     }
-
-    /// Privileged weight-setting.
-    pub fn privileged_set_weight(
-        &mut self,
-        caller: DomainId,
-        target: DomainId,
-        weight: u32,
-        now: SimTime,
-    ) -> Result<(), HvError> {
-        if !self.is_privileged(caller)? {
-            return Err(HvError::NotPrivileged(caller));
-        }
-        self.set_weight(target, weight, now)
-    }
 }
 
 #[cfg(test)]
@@ -127,9 +113,6 @@ mod tests {
             hv.privileged_set_cap(domu, domu, 50, SimTime::ZERO),
             Err(HvError::NotPrivileged(_))
         ));
-        hv.privileged_set_weight(dom0, domu, 512, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(hv.weight(domu).unwrap(), 512);
     }
 
     #[test]

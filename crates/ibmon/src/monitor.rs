@@ -70,7 +70,6 @@ struct VmMonitor {
     cqs: Vec<CqMonitor>,
     mtu_window: WindowedRate,
     buffer_est: Ewma,
-    lifetime_mtus: u64,
     /// Last fully fresh sample, replayed (flagged stale) when a scan is
     /// skipped by fault injection.
     last: VmUsage,
@@ -129,10 +128,10 @@ impl IbMon {
         let mon = CqMonitor::new(mapping, capacity, self.cfg.mtu).map_err(|e| e.to_string())?;
         self.vms
             .get_or_insert_with(target, || VmMonitor {
-                cqs: Vec::new(),
+                // The platform watches one ring (the send CQ) per VM.
+                cqs: Vec::with_capacity(1),
                 mtu_window: WindowedRate::new(self.cfg.rate_window),
                 buffer_est: Ewma::new(self.cfg.buffer_ewma_alpha),
-                lifetime_mtus: 0,
                 last: VmUsage::default(),
             })
             .cqs
@@ -180,7 +179,6 @@ impl IbMon {
             agg.aliased |= s.aliased;
             agg.torn += s.torn;
         }
-        vm.lifetime_mtus += agg.mtus;
         vm.mtu_window.record(now, agg.mtus);
         if agg.completions > 0 {
             vm.buffer_est
@@ -203,7 +201,9 @@ impl IbMon {
 
     /// Lifetime MTU count attributed to a VM.
     pub fn lifetime_mtus(&self, dom: DomainId) -> u64 {
-        self.vms.get(&dom).map_or(0, |v| v.lifetime_mtus)
+        self.vms
+            .get(&dom)
+            .map_or(0, |v| v.mtu_window.lifetime_count())
     }
 }
 

@@ -78,14 +78,6 @@ impl MetricsRegistry {
             .or_insert(0) += delta;
     }
 
-    /// Reads a counter (0 if never written).
-    pub fn counter_value(&self, subsystem: &str, entity: &str, name: &str) -> u64 {
-        self.counters
-            .get(&key(subsystem, entity, name))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Sets a gauge to its latest value.
     pub fn gauge_set(&mut self, subsystem: &str, entity: &str, name: &str, value: f64) {
         self.gauges.insert(key(subsystem, entity, name), value);
@@ -317,8 +309,8 @@ mod tests {
                 (y.count, y.p50, y.p99, y.max)
             );
         }
-        assert_eq!(ab.counter_value("fabric.link", "vm0", "grants"), 14);
-        assert_eq!(ab.counter_value("faults", "global", "injected"), 1);
+        assert_eq!(ab.counters[&key("fabric.link", "vm0", "grants")], 14);
+        assert_eq!(ab.counters[&key("faults", "global", "injected")], 1);
     }
 
     #[test]

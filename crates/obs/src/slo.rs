@@ -60,15 +60,6 @@ impl SloMonitor {
     pub fn totals(&self) -> (u64, u64) {
         (self.total, self.violations)
     }
-
-    /// Whole-run violation fraction in `[0, 1]` (0 when nothing checked).
-    pub fn violation_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,12 +69,12 @@ mod tests {
     #[test]
     fn counts_violations_above_threshold() {
         let mut m = SloMonitor::new(1_000);
+        assert_eq!(m.totals(), (0, 0));
         m.observe(999);
         m.observe(1_000); // at-threshold is compliant
         m.observe(1_001);
         m.observe(50_000);
         assert_eq!(m.totals(), (4, 2));
-        assert!((m.violation_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -96,12 +87,5 @@ mod tests {
         assert_eq!(m.end_interval(), (1, 1));
         assert_eq!(m.end_interval(), (0, 0));
         assert_eq!(m.totals(), (3, 2));
-    }
-
-    #[test]
-    fn empty_monitor_reports_zero_fraction() {
-        let m = SloMonitor::new(1);
-        assert_eq!(m.violation_fraction(), 0.0);
-        assert_eq!(m.totals(), (0, 0));
     }
 }

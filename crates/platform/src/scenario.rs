@@ -25,15 +25,6 @@ pub enum PolicyKind {
     FreeMarket,
     /// IOShares (Algorithm 2); SLAs come from each VM's `sla` field.
     IoShares,
-    /// Fixed caps per VM index.
-    StaticReserve(Vec<(usize, u32)>),
-    /// Buffer-ratio caps relative to the VM at `reference` index.
-    BufferRatio {
-        /// Index of the reporting VM.
-        reference: usize,
-    },
-    /// Uniform demand-driven epoch pricing (goal 1, purest form).
-    DemandPricing,
 }
 
 /// Hardware QoS assigned to a VM's queue pair at the HCA — the alternative
@@ -281,11 +272,6 @@ impl ScenarioConfig {
         if self.warmup.as_nanos() >= self.duration.as_nanos() {
             return Err("warmup must be shorter than the run".into());
         }
-        if let PolicyKind::BufferRatio { reference } = self.policy {
-            if reference >= self.vms.len() {
-                return Err("BufferRatio reference out of range".into());
-            }
-        }
         Ok(())
     }
 }
@@ -306,9 +292,6 @@ fn policy_tag(p: &PolicyKind) -> &'static str {
         PolicyKind::None => "none",
         PolicyKind::FreeMarket => "freemarket",
         PolicyKind::IoShares => "ioshares",
-        PolicyKind::StaticReserve(_) => "static",
-        PolicyKind::BufferRatio { .. } => "bufferratio",
-        PolicyKind::DemandPricing => "demand",
     }
 }
 
@@ -346,10 +329,23 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_reference() {
-        let mut cfg = ScenarioConfig::interfered(131072);
-        cfg.policy = PolicyKind::BufferRatio { reference: 9 };
-        assert!(cfg.validate().is_err());
+    fn retired_policies_do_not_deserialize() {
+        // A scenario file naming a pricing policy this crate no longer
+        // carries fails to parse instead of running some other policy.
+        for json in [
+            r#""DemandPricing""#,
+            r#"{"BufferRatio":{"reference":0}}"#,
+            r#"{"StaticReserve":[[1,20]]}"#,
+        ] {
+            assert!(serde_json::from_str::<PolicyKind>(json).is_err(), "{json}");
+        }
+        for (json, kind) in [
+            (r#""None""#, PolicyKind::None),
+            (r#""FreeMarket""#, PolicyKind::FreeMarket),
+            (r#""IoShares""#, PolicyKind::IoShares),
+        ] {
+            assert_eq!(serde_json::from_str::<PolicyKind>(json).unwrap(), kind);
+        }
     }
 
     #[test]

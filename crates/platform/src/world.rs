@@ -27,8 +27,8 @@ use resex_benchex::{
     REQUEST_WIRE_BYTES,
 };
 use resex_core::{
-    BufferRatio, DecisionJournal, DemandPricing, FreeMarket, IoShares, LatencyFeedback,
-    ManagerAction, PricingPolicy, ResExManager, StaticReserve, VmId, VmSnapshot,
+    DecisionJournal, FreeMarket, IoShares, LatencyFeedback, ManagerAction, PricingPolicy,
+    ResExManager, VmId, VmSnapshot,
 };
 use resex_fabric::qp::{RecvRequest, WorkRequest};
 use resex_fabric::{
@@ -79,15 +79,6 @@ fn make_policy(cfg: &ScenarioConfig) -> Option<Box<dyn PricingPolicy>> {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| s.sla.map(|sla| (VmId::new(i as u32), sla))),
-        ))),
-        PolicyKind::StaticReserve(caps) => Some(Box::new(StaticReserve::new(
-            caps.iter().map(|&(i, c)| (VmId::new(i as u32), c)),
-        ))),
-        PolicyKind::BufferRatio { reference } => {
-            Some(Box::new(BufferRatio::new(VmId::new(*reference as u32))))
-        }
-        PolicyKind::DemandPricing => Some(Box::new(DemandPricing::new(
-            cfg.fabric.mtus_per_second() * cfg.resex.epoch.as_nanos().max(1) / 1_000_000_000,
         ))),
     }
 }
@@ -1599,7 +1590,7 @@ impl World {
         }
         let send_cq = self.vms[vmi].send_cq;
         let _ = self.fabric.drain_cq(self.node_srv, send_cq, 64);
-        let (record, act) = self.vms[vmi].server.on_send_complete_with_record(t);
+        let (record, act) = self.vms[vmi].server.on_send_complete(t);
         let after_warmup = t.duration_since(SimTime::ZERO) >= warmup;
         record_latency(&mut self.metrics[vmi], &record, after_warmup);
         self.apply_server_action(vmi, act, t);

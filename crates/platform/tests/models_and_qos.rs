@@ -111,34 +111,6 @@ fn weighted_sharing_splits_bandwidth() {
 }
 
 #[test]
-fn bufferratio_policy_end_to_end() {
-    // The BufferRatio extension policy uses IBMon's buffer estimate to set
-    // caps with no latency feedback at all.
-    let cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::BufferRatio { reference: 0 });
-    let managed = run_scenario(short(cfg));
-    let intf = run_scenario(short(ScenarioConfig::interfered(2 * 1024 * 1024)));
-    let m = managed
-        .rows()
-        .iter()
-        .find(|r| r.vm == "64KB")
-        .unwrap()
-        .mean_us;
-    let i = intf.rows().iter().find(|r| r.vm == "64KB").unwrap().mean_us;
-    println!("bufferratio={m:.1} interfered={i:.1}");
-    assert!(m < i - 10.0, "IBMon-driven caps reduce interference");
-    // The cap should converge near 100/32 ≈ 3.
-    let final_cap = managed
-        .vm("2MB")
-        .unwrap()
-        .cap_trace
-        .points()
-        .last()
-        .map(|&(_, c)| c)
-        .unwrap_or(100.0);
-    assert!(final_cap <= 10.0, "cap converged to {final_cap}");
-}
-
-#[test]
 fn three_servers_fig2_shape_holds_with_manager() {
     // Three reporting VMs + interferer under IOShares: every reporter gets
     // protected, not just one.

@@ -39,7 +39,7 @@
 //! as if the held entry had been scheduled at the instant its seq was
 //! drawn.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 
 /// Handle to a scheduled event, usable for cancellation.
@@ -47,15 +47,6 @@ use std::cmp::Ordering;
 pub struct EventKey {
     slot: u32,
     seq: u64,
-}
-
-impl EventKey {
-    /// A key that never matches a live entry (for tests and sentinel
-    /// initialisation; cancelling it is a reported no-op).
-    pub const DEAD: EventKey = EventKey {
-        slot: u32::MAX,
-        seq: u64::MAX,
-    };
 }
 
 struct Slot<E> {
@@ -75,10 +66,10 @@ struct Slot<E> {
 ///
 /// ```
 /// use resex_simcore::event::EventQueue;
-/// use resex_simcore::time::{SimTime, SimDuration};
+/// use resex_simcore::time::SimTime;
 ///
 /// let mut q: EventQueue<&str> = EventQueue::new();
-/// q.schedule_after(SimDuration::from_micros(5), "b");
+/// q.schedule_at(SimTime::from_micros(5), "b");
 /// q.schedule_at(SimTime::from_micros(2), "a");
 /// let (t, e) = q.pop().unwrap();
 /// assert_eq!((t, e), (SimTime::from_micros(2), "a"));
@@ -161,11 +152,6 @@ impl<E> EventQueue<E> {
         self.heap.push(slot);
         self.sift_up(pos as usize);
         EventKey { slot, seq }
-    }
-
-    /// Schedules `payload` to fire `delay` after now.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventKey {
-        self.schedule_at(self.now + delay, payload)
     }
 
     /// Cancels a previously scheduled event. Returns true if the event was
@@ -323,6 +309,7 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn us(n: u64) -> SimTime {
         SimTime::from_micros(n)
@@ -361,16 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(us(10), "first");
-        q.pop();
-        q.schedule_after(SimDuration::from_micros(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, us(15));
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic]
     fn past_scheduling_panics_in_debug() {
@@ -398,7 +375,10 @@ mod tests {
     #[test]
     fn cancel_unknown_key_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventKey::DEAD));
+        assert!(!q.cancel(EventKey {
+            slot: u32::MAX,
+            seq: u64::MAX
+        }));
         assert!(!q.cancel(EventKey { slot: 99, seq: 0 }));
     }
 
@@ -434,7 +414,7 @@ mod tests {
         // Cancel-after-fire in a loop: the backlog must not accumulate.
         let mut q = EventQueue::new();
         for i in 0..10_000u64 {
-            let k = q.schedule_after(SimDuration::from_micros(1), i);
+            let k = q.schedule_at(q.now() + SimDuration::from_micros(1), i);
             q.pop();
             assert!(!q.cancel(k));
         }

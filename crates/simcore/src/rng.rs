@@ -48,16 +48,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Constructs from raw state. All-zero state is invalid for xoshiro and
-    /// is remapped to a fixed non-zero state.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        if s == [0; 4] {
-            Self::seed_from_u64(0)
-        } else {
-            SimRng { s }
-        }
-    }
-
     /// The next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -93,18 +83,6 @@ impl SimRng {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// A uniform integer in `[lo, hi]` inclusive.
-    ///
-    /// # Panics
-    /// If `lo > hi`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range_inclusive: {lo} > {hi}");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(hi - lo + 1)
     }
 
     /// An exponentially distributed f64 with the given mean (for Poisson
@@ -164,7 +142,7 @@ mod tests {
     fn reference_vector_xoshiro256starstar() {
         // First outputs for state {1, 2, 3, 4}, from the public reference
         // implementation (https://prng.di.unimi.it/xoshiro256starstar.c).
-        let mut rng = SimRng::from_state([1, 2, 3, 4]);
+        let mut rng = SimRng { s: [1, 2, 3, 4] };
         let expected: [u64; 5] = [
             11520,
             0,
@@ -203,13 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_state_is_remapped() {
-        let mut rng = SimRng::from_state([0; 4]);
-        // Must not be stuck at zero forever.
-        assert_ne!(rng.next_u64() | rng.next_u64(), 0);
-    }
-
-    #[test]
     fn f64_in_unit_interval() {
         let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..10_000 {
@@ -228,16 +199,6 @@ mod tests {
             seen[x as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues hit");
-    }
-
-    #[test]
-    fn range_inclusive_endpoints() {
-        let mut rng = SimRng::seed_from_u64(9);
-        for _ in 0..1000 {
-            let x = rng.range_inclusive(10, 12);
-            assert!((10..=12).contains(&x));
-        }
-        assert_eq!(rng.range_inclusive(5, 5), 5);
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl<T> LinkChannel<T> {
         self.msgs.push_back(LinkMsg { at, seq, payload });
     }
 
-    /// Earliest undelivered message time, if any.
-    pub fn next_arrival(&self) -> Option<SimTime> {
-        self.msgs.front().map(|m| m.at)
-    }
-
     /// Removes every message with `at ≤ horizon` and yields them in FIFO
     /// order. Draining allocates nothing; messages the caller does not
     /// consume are dropped with the iterator.
@@ -203,7 +198,6 @@ mod tests {
         ch.send(t(10), "a");
         ch.send(t(10), "b");
         ch.send(t(30), "c");
-        assert_eq!(ch.next_arrival(), Some(t(10)));
         let first: Vec<_> = ch.drain_until(t(10)).collect();
         assert_eq!(
             first.iter().map(|m| m.payload).collect::<Vec<_>>(),
@@ -242,7 +236,7 @@ mod tests {
             let mut trace = Vec::new();
             let group_of = |p: usize| p * shards / PROCS;
             loop {
-                let nexts = chans.iter().map(|c| c.next_arrival());
+                let nexts = chans.iter().map(|c| c.msgs.front().map(|m| m.at));
                 let Some(h) = conservative_horizon(nexts, la) else {
                     break;
                 };

@@ -123,18 +123,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Constructs a span from fractional seconds, rounding to the nearest
-    /// nanosecond.
-    ///
-    /// # Panics
-    /// If `s` is negative, non-finite, or too large to represent.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        let ns = s * 1_000_000_000.0;
-        assert!(ns <= u64::MAX as f64, "duration overflow: {s}s");
-        SimDuration(ns.round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -173,25 +161,10 @@ impl SimDuration {
         }
     }
 
-    /// Divides by a dimensionless factor.
-    ///
-    /// # Panics
-    /// If `f` is not strictly positive.
-    pub fn div_f64(self, f: f64) -> SimDuration {
-        assert!(f > 0.0, "invalid divisor: {f}");
-        SimDuration::from_secs_f64(self.as_secs_f64() / f)
-    }
-
     /// Integer-divides the span into `n` equal parts (truncating).
     #[inline]
     pub const fn div_u64(self, n: u64) -> SimDuration {
         SimDuration(self.0 / n)
-    }
-
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
     }
 
     /// Saturating subtraction (clamps at zero).
@@ -356,9 +329,7 @@ mod tests {
 
     #[test]
     fn float_conversions() {
-        let d = SimDuration::from_secs_f64(0.5);
-        assert_eq!(d, SimDuration::from_millis(500));
-        assert!((d.as_secs_f64() - 0.5).abs() < 1e-12);
+        assert!((SimDuration::from_millis(500).as_secs_f64() - 0.5).abs() < 1e-12);
         assert!((SimDuration::from_micros(3).as_micros_f64() - 3.0).abs() < 1e-12);
     }
 
@@ -366,7 +337,6 @@ mod tests {
     fn mul_div() {
         let d = SimDuration::from_micros(100);
         assert_eq!(d.mul_f64(2.5), SimDuration::from_micros(250));
-        assert_eq!(d.div_f64(4.0), SimDuration::from_micros(25));
         assert_eq!(d * 3, SimDuration::from_micros(300));
         assert!((SimDuration::from_secs(1) / SimDuration::from_millis(250) - 4.0).abs() < 1e-12);
     }
@@ -380,10 +350,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_micros(1).saturating_sub(SimDuration::from_micros(2)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimDuration::from_micros(2).checked_sub(SimDuration::from_micros(3)),
-            None
         );
     }
 

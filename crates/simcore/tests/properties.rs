@@ -134,17 +134,6 @@ proptest! {
         }
     }
 
-    /// range_inclusive covers exactly [lo, hi].
-    #[test]
-    fn rng_range_inclusive(seed in any::<u64>(), lo in 0u64..1000, span in 0u64..1000) {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let hi = lo + span;
-        for _ in 0..20 {
-            let x = rng.range_inclusive(lo, hi);
-            prop_assert!((lo..=hi).contains(&x));
-        }
-    }
-
     /// Windowed rate: in-window count never exceeds lifetime count, and a
     /// window covering everything equals the lifetime count.
     #[test]

@@ -98,20 +98,6 @@ impl ForeignMapping {
         self.mem.read().read(self.base.add(offset as u64), buf)
     }
 
-    /// Reads a little-endian `u32` at `offset`.
-    pub fn read_u32_at(&self, offset: usize) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read_at(offset, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u64` at `offset`.
-    pub fn read_u64_at(&self, offset: usize) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read_at(offset, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// Calls `f` with each page-bounded piece of `[offset, offset+len)`
     /// within the window, in order, borrowing the guest's pages in place
     /// under one read lock, and with each piece's page stamp (see
@@ -176,7 +162,9 @@ mod tests {
         guest
             .dma_write(Gpa::new(16), &0xDEAD_BEEFu32.to_le_bytes())
             .unwrap();
-        assert_eq!(map.read_u32_at(16).unwrap(), 0xDEAD_BEEF);
+        let mut b = [0u8; 4];
+        map.read_at(16, &mut b).unwrap();
+        assert_eq!(u32::from_le_bytes(b), 0xDEAD_BEEF);
     }
 
     #[test]
@@ -293,15 +281,5 @@ mod tests {
         let guest = MemoryHandle::new(8 * 1024);
         let map = ForeignMapping::map(&guest, Gpa::new(0), 64).unwrap();
         let _ = map.write_at(0, &[1]);
-    }
-
-    #[test]
-    fn u64_accessor() {
-        let guest = MemoryHandle::new(8 * 1024);
-        guest
-            .with_write(|m| m.write_u64(Gpa::new(24), 0xABCD_EF01_2345_6789))
-            .unwrap();
-        let map = ForeignMapping::map(&guest, Gpa::new(0), 64).unwrap();
-        assert_eq!(map.read_u64_at(24).unwrap(), 0xABCD_EF01_2345_6789);
     }
 }

@@ -264,18 +264,6 @@ impl GuestMemory {
         self.write(gpa, &v.to_le_bytes())
     }
 
-    /// Reads a little-endian `u64` at `gpa`.
-    pub fn read_u64(&self, gpa: Gpa) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(gpa, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64` at `gpa`.
-    pub fn write_u64(&mut self, gpa: Gpa, v: u64) -> Result<(), MemError> {
-        self.write(gpa, &v.to_le_bytes())
-    }
-
     /// Pins every page overlapping `[gpa, gpa+len)` (registration-time
     /// behaviour of RDMA memory regions). Pins nest: each `pin_range` must be
     /// balanced by one `unpin_range`.
@@ -378,19 +366,6 @@ impl MemoryHandle {
                 });
             }
             m.write(gpa, buf)
-        })
-    }
-
-    /// Device DMA read with the same pinning requirement.
-    pub fn dma_read(&self, gpa: Gpa, buf: &mut [u8]) -> Result<(), MemError> {
-        self.with_read(|m| {
-            m.check_range(gpa, buf.len())?;
-            if !m.is_pinned(gpa, buf.len()) {
-                return Err(MemError::NotPinned {
-                    page_base: Gpa::new(gpa.frame() * PAGE_SIZE as u64),
-                });
-            }
-            m.read(gpa, buf)
         })
     }
 
@@ -522,8 +497,6 @@ mod tests {
         m.read(Gpa::new(0), &mut b).unwrap();
         assert_eq!(b, [0x78, 0x56, 0x34, 0x12]);
         assert_eq!(m.read_u32(Gpa::new(0)).unwrap(), 0x1234_5678);
-        m.write_u64(Gpa::new(8), u64::MAX - 1).unwrap();
-        assert_eq!(m.read_u64(Gpa::new(8)).unwrap(), u64::MAX - 1);
     }
 
     #[test]
@@ -581,7 +554,7 @@ mod tests {
         h.with_write(|m| m.pin_range(gpa, 3)).unwrap();
         h.dma_write(gpa, &[1, 2, 3]).unwrap();
         let mut out = [0u8; 3];
-        h.dma_read(gpa, &mut out).unwrap();
+        h.read(gpa, &mut out).unwrap();
         assert_eq!(out, [1, 2, 3]);
     }
 
@@ -620,13 +593,12 @@ mod tests {
         );
         h.with_write(|m| m.pin_range(gpa, 2 * PAGE_SIZE)).unwrap();
         let mut out = [0xFFu8; 8];
-        h.dma_read(gpa.add(PAGE_SIZE as u64), &mut out).unwrap();
+        h.read(gpa.add(PAGE_SIZE as u64), &mut out).unwrap();
         assert_eq!(out, [0u8; 8], "pinned, never-written page reads as zeros");
         h.dma_write(gpa.add(PAGE_SIZE as u64 + 10), &[7, 8, 9])
             .unwrap();
         let mut back = [0u8; 5];
-        h.dma_read(gpa.add(PAGE_SIZE as u64 + 9), &mut back)
-            .unwrap();
+        h.read(gpa.add(PAGE_SIZE as u64 + 9), &mut back).unwrap();
         assert_eq!(back, [0, 7, 8, 9, 0]);
         assert_eq!(h.with_read(|m| m.resident_pages()), 2);
     }

@@ -45,13 +45,13 @@ fn main() {
         )));
         let ioshares = mean_64kb(shorten(ScenarioConfig::managed(buf, PolicyKind::IoShares)));
         // Worst-case static reservation: pin the interferer to the
-        // buffer-ratio cap permanently, interference or not.
+        // buffer-ratio cap permanently, interference or not (the static
+        // cap Figures 3 and 4 set, with no manager running).
         let ratio = buf / (64 * 1024);
         let static_cap = (100 / ratio.max(1)).max(3);
-        let staticrsv = mean_64kb(shorten(ScenarioConfig::managed(
-            buf,
-            PolicyKind::StaticReserve(vec![(1, static_cap)]),
-        )));
+        let mut reserved = ScenarioConfig::interfered(buf);
+        reserved.vms[1] = reserved.vms[1].clone().with_cap(static_cap);
+        let staticrsv = mean_64kb(shorten(reserved));
         println!(
             "{:<10} {:>10.1}µs {:>10.1}µs {:>10.1}µs {:>10.1}µs",
             fmt_size(buf),
