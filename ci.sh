@@ -9,8 +9,9 @@
 #            Minutes, suitable for every push. Windowed-vs-whole calendar
 #            identity is a workspace test (tests/rack_claims.rs).
 #   (bare)   full tier: the quick tier plus fault/adversary/crash soaks,
-#            the chaos explorer, the sweep + rack scaling measurements and
-#            their BENCH_*.json artifacts, and the perf-regression gate.
+#            the guest-memory oracle at 2048 cases, the chaos explorer,
+#            the sweep + rack scaling measurements and their BENCH_*.json
+#            artifacts, and the perf-regression gate.
 #
 # The BENCH_*.json artifacts are staged in a temp dir and only moved into
 # the repo root after every gate has passed, so a failing run can never
@@ -116,6 +117,11 @@ if [ "$TIER" = quick ]; then
     echo "==> OK (quick tier; run bare ./ci.sh for soak/chaos/perf and BENCH artifacts)"
     exit 0
 fi
+
+echo "==> guest-memory oracle soak: lazy_oracle at PROPTEST_CASES=2048"
+# The quick tier's workspace tests run the on-demand guest memory against
+# its flat reference at proptest's default 256 cases; the soak runs 8x.
+PROPTEST_CASES=2048 cargo test -q --offline --release -p resex-simmem --test lazy_oracle
 
 echo "==> fault-matrix smoke: fig9 --quick under 1% loss, 3 fault seeds"
 for seed in 1 2 3; do

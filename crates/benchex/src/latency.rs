@@ -79,11 +79,12 @@ pub struct LatencyWindow {
 }
 
 impl LatencyWindow {
-    /// A window keeping the most recent `capacity` records.
+    /// A window keeping the most recent `capacity` records. It reserves
+    /// nothing up front and grows up to `capacity` as records arrive.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         LatencyWindow {
-            records: std::collections::VecDeque::with_capacity(capacity),
+            records: std::collections::VecDeque::new(),
             capacity,
         }
     }

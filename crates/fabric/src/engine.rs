@@ -465,11 +465,6 @@ impl Fabric {
         n.tpt.register(pd, mem, gpa, len, access)
     }
 
-    /// Deregisters a memory region.
-    pub fn deregister_mr(&mut self, node: NodeId, key: u32) -> Result<(), FabricError> {
-        self.node_mut(node)?.tpt.deregister(key)
-    }
-
     /// Creates a completion queue whose ring is allocated inside `mem`.
     pub fn create_cq(
         &mut self,

@@ -19,7 +19,7 @@ pub enum FabricError {
     InvalidKey {
         /// The offending key.
         key: u32,
-        /// Human-readable reason (stale generation, bad range, missing access).
+        /// Human-readable reason (unknown key, bad range, missing access).
         reason: &'static str,
     },
     /// The QP is not in the state required for the operation.
@@ -97,7 +97,7 @@ mod tests {
             FabricError::UnknownQp(NodeId::new(0), QpNum::new(5)),
             FabricError::InvalidKey {
                 key: 0xAB,
-                reason: "stale generation",
+                reason: "no such region",
             },
             FabricError::BadQpState {
                 qp: QpNum::new(1),

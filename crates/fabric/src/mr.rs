@@ -5,23 +5,18 @@
 //! buffer into the table, and returns an `lkey` (used when the local process
 //! names the buffer in a work request) and an `rkey` (handed to remote peers
 //! for one-sided RDMA). Every data-path access is validated against the TPT:
-//! key liveness, address range, and access rights.
-//!
-//! Keys carry a generation count so that a key kept past deregistration is
-//! detected as stale rather than silently matching a recycled slot.
+//! key liveness, address range, and access rights. Registrations last for
+//! the life of the table: simulated applications register their buffers
+//! once at setup.
 
 use crate::error::FabricError;
 use crate::types::{Access, PdId};
 use resex_simmem::{Gpa, MemoryHandle};
 
-/// Number of generation bits in a key. The low bits index the table slot.
-const GEN_BITS: u32 = 8;
-const GEN_MASK: u32 = (1 << GEN_BITS) - 1;
-
-/// Composes a key from a slot index and generation.
-fn make_key(slot: u32, gen: u32) -> u32 {
-    (slot << GEN_BITS) | (gen & GEN_MASK)
-}
+/// A key's low byte is its variant, which real HCAs let a consumer change
+/// when it re-registers a region; the bits above index the table. Regions
+/// are never re-registered here, so the variant is always zero.
+const VARIANT_BITS: u32 = 8;
 
 /// A registered memory region, as returned by [`Tpt::register`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,16 +37,11 @@ struct TptEntry {
     gpa: Gpa,
     len: u32,
     access: Access,
-    gen: u32,
 }
 
 /// The HCA's translation and protection table.
 pub struct Tpt {
-    slots: Vec<Option<TptEntry>>,
-    free: Vec<u32>,
-    /// Next generation to assign per slot; advanced on deregistration.
-    gen_next: Vec<u32>,
-    registered_bytes: u64,
+    slots: Vec<TptEntry>,
 }
 
 /// What a data-path access needs from a region.
@@ -68,12 +58,7 @@ pub enum Need {
 impl Tpt {
     /// An empty table.
     pub fn new() -> Self {
-        Tpt {
-            slots: Vec::new(),
-            free: Vec::new(),
-            gen_next: Vec::new(),
-            registered_bytes: 0,
-        }
+        Tpt { slots: Vec::new() }
     }
 
     /// Registers `[gpa, gpa+len)` of `mem` under protection domain `pd`,
@@ -93,66 +78,20 @@ impl Tpt {
             });
         }
         mem.with_write(|m| m.pin_range(gpa, len as usize))?;
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let gen = self.gen_next.get(slot as usize).copied().unwrap_or(0);
-        let entry = TptEntry {
+        let key = (self.slots.len() as u32) << VARIANT_BITS;
+        self.slots.push(TptEntry {
             pd,
             mem: mem.clone(),
             gpa,
             len,
             access,
-            gen,
-        };
-        self.slots[slot as usize] = Some(entry);
-        self.registered_bytes += len as u64;
-        let key = make_key(slot, gen);
+        });
         Ok(MrHandle {
             lkey: key,
             rkey: key,
             gpa,
             len,
         })
-    }
-
-    /// Deregisters the region named by `key`, unpinning its pages.
-    pub fn deregister(&mut self, key: u32) -> Result<(), FabricError> {
-        let slot = key >> GEN_BITS;
-        let entry = self
-            .slots
-            .get_mut(slot as usize)
-            .and_then(Option::take)
-            .ok_or(FabricError::InvalidKey {
-                key,
-                reason: "no such region",
-            })?;
-        if entry.gen != (key & GEN_MASK) {
-            // Put it back: the key was stale, the slot holds a newer region.
-            self.slots[slot as usize] = Some(entry);
-            return Err(FabricError::InvalidKey {
-                key,
-                reason: "stale generation",
-            });
-        }
-        entry
-            .mem
-            .with_write(|m| m.unpin_range(entry.gpa, entry.len as usize))?;
-        self.registered_bytes -= entry.len as u64;
-        self.bump_gen(slot, entry.gen);
-        self.free.push(slot);
-        Ok(())
-    }
-
-    fn bump_gen(&mut self, slot: u32, old: u32) {
-        if self.gen_next.len() <= slot as usize {
-            self.gen_next.resize(slot as usize + 1, 0);
-        }
-        self.gen_next[slot as usize] = (old + 1) & GEN_MASK;
     }
 
     /// Validates an access and returns the region's memory handle for DMA.
@@ -164,21 +103,14 @@ impl Tpt {
         need: Need,
         pd: Option<PdId>,
     ) -> Result<&MemoryHandle, FabricError> {
-        let slot = key >> GEN_BITS;
         let entry = self
             .slots
-            .get(slot as usize)
-            .and_then(Option::as_ref)
+            .get((key >> VARIANT_BITS) as usize)
+            .filter(|_| key & ((1 << VARIANT_BITS) - 1) == 0)
             .ok_or(FabricError::InvalidKey {
                 key,
                 reason: "no such region",
             })?;
-        if entry.gen != (key & GEN_MASK) {
-            return Err(FabricError::InvalidKey {
-                key,
-                reason: "stale generation",
-            });
-        }
         if let Some(pd) = pd {
             if entry.pd != pd {
                 return Err(FabricError::PdMismatch);
@@ -212,11 +144,6 @@ impl Tpt {
         }
         Ok(&entry.mem)
     }
-
-    /// Total bytes currently registered (for capacity accounting).
-    pub fn registered_bytes(&self) -> u64 {
-        self.registered_bytes
-    }
 }
 
 impl Default for Tpt {
@@ -234,48 +161,38 @@ mod tests {
     }
 
     #[test]
-    fn register_pins_and_deregister_unpins() {
+    fn register_pins() {
         let m = mem();
         let mut tpt = Tpt::new();
         let mr = tpt
             .register(PdId::new(0), &m, Gpa::new(0), 8192, Access::FULL)
             .unwrap();
         assert!(m.with_read(|g| g.is_pinned(Gpa::new(0), 8192)));
-        assert_eq!(tpt.registered_bytes(), 8192);
-        tpt.deregister(mr.lkey).unwrap();
-        assert!(!m.with_read(|g| g.is_pinned(Gpa::new(0), 8192)));
-        assert_eq!(tpt.registered_bytes(), 0);
+        assert!(!m.with_read(|g| g.is_pinned(Gpa::new(0), 8193)));
+        assert!(tpt
+            .check(mr.lkey, Gpa::new(0), 8192, Need::LocalRead, None)
+            .is_ok());
     }
 
     #[test]
-    fn stale_key_is_rejected() {
+    fn keys_with_a_variant_byte_name_no_region() {
         let m = mem();
         let mut tpt = Tpt::new();
-        let mr1 = tpt
+        let mr = tpt
             .register(PdId::new(0), &m, Gpa::new(0), 4096, Access::FULL)
             .unwrap();
-        tpt.deregister(mr1.lkey).unwrap();
-        // Slot is recycled with a new generation.
-        let mr2 = tpt
-            .register(PdId::new(0), &m, Gpa::new(4096), 4096, Access::FULL)
-            .unwrap();
-        assert_ne!(mr1.lkey, mr2.lkey, "recycled slot gets a new key");
-        let err = tpt
-            .check(mr1.lkey, Gpa::new(0), 4, Need::LocalRead, None)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            FabricError::InvalidKey {
-                reason: "stale generation",
-                ..
-            }
-        ));
-        // Deregistering with the stale key fails and leaves the live region intact.
-        assert!(tpt.deregister(mr1.lkey).is_err());
-        assert!(tpt
-            .check(mr2.lkey, Gpa::new(4096), 4, Need::LocalRead, None)
-            .is_ok());
-        assert_eq!(tpt.registered_bytes(), 4096);
+        for key in [mr.lkey | 1, mr.lkey | 0xFF, mr.lkey + (1 << VARIANT_BITS)] {
+            let err = tpt
+                .check(key, Gpa::new(0), 4, Need::LocalRead, None)
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                FabricError::InvalidKey {
+                    reason: "no such region",
+                    ..
+                }
+            ));
+        }
     }
 
     #[test]
@@ -353,16 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn many_regions_unique_keys() {
+    fn keys_are_the_slot_above_a_zero_variant_byte() {
         let m = mem();
         let mut tpt = Tpt::new();
-        let mut keys = std::collections::BTreeSet::new();
         for i in 0..32 {
             let mr = tpt
                 .register(PdId::new(0), &m, Gpa::new(i * 4096), 4096, Access::FULL)
                 .unwrap();
-            assert!(keys.insert(mr.lkey), "duplicate key");
+            assert_eq!((mr.lkey, mr.rkey), (i as u32 * 256, i as u32 * 256));
         }
-        assert_eq!(tpt.registered_bytes(), 32 * 4096);
     }
 }

@@ -10,12 +10,17 @@
 //! write has touched it since its slots last equalled their shadow; the
 //! histories rewrite slots with their own bytes (the stamp moves, the bytes
 //! do not) and count the scans where such a skip must have happened.
+//!
+//! A ring page that no CQE ever reaches keeps the 0xFF fill its queue was
+//! created with, held by guest memory as a recorded byte without page
+//! storage; the histories count the scans that met such a page.
 
 use proptest::prelude::*;
 use resex_fabric::{CompletionQueue, CqNum, Cqe, Opcode, QpNum, WcStatus, CQE_SIZE};
 use resex_ibmon::{CqMonitor, ScanSample};
 use resex_simcore::time::SimTime;
 use resex_simmem::{ForeignMapping, Gpa, MemoryHandle, PAGE_SIZE};
+use std::ops::Range;
 
 const MTU: u32 = 1024;
 
@@ -172,6 +177,9 @@ struct Seen {
     /// previous scan that saw no torn slot, so the monitor skipped it
     /// without comparing.
     skipping: u32,
+    /// Scans in which some piece of the ring still had the stamp the
+    /// queue's creation fill gave it: no CQE or other write reached it.
+    untouched: u32,
 }
 
 /// A CQ ring watched by both monitors.
@@ -188,6 +196,8 @@ struct Ring {
     /// Per page-bounded piece of the ring, its stamp if it holds whole
     /// slots, as of the last scan; `None` after a scan that saw a torn slot.
     stamps_at_scan: Option<Vec<Option<u64>>>,
+    /// Each piece's stamp right after the queue was created.
+    created: Vec<u64>,
 }
 
 impl Ring {
@@ -200,7 +210,7 @@ impl Ring {
         let len = capacity as usize * CQE_SIZE;
         let cq = CompletionQueue::new(CqNum::new(0), mem.clone(), gpa, capacity).unwrap();
         let map = || ForeignMapping::map(&mem, gpa, len).unwrap();
-        Ring {
+        let mut ring = Ring {
             cq,
             rw: ForeignMapping::map_rw(&mem, gpa, len).unwrap(),
             monitor: CqMonitor::new(map(), capacity, MTU).unwrap(),
@@ -211,7 +221,10 @@ impl Ring {
             tick: 0,
             seen: Seen::default(),
             stamps_at_scan: None,
-        }
+            created: Vec::new(),
+        };
+        ring.created = ring.pieces().into_iter().map(|(_, stamp)| stamp).collect();
+        ring
     }
 
     fn slot_offset(&self, slot: u32) -> usize {
@@ -267,20 +280,38 @@ impl Ring {
         Ok(())
     }
 
-    /// Each piece's stamp, or `None` for a piece that does not start and
-    /// end on a slot boundary.
-    fn piece_stamps(&self) -> Vec<Option<u64>> {
+    /// Each page-bounded piece of the ring: its byte range and stamp.
+    fn pieces(&self) -> Vec<(Range<usize>, u64)> {
         let mut pos = 0;
         let mut out = Vec::new();
         let len = self.capacity as usize * CQE_SIZE;
         self.rw
             .read_pieces_stamped(0, len, |piece, stamp| {
-                let whole = pos % CQE_SIZE == 0 && piece.len() % CQE_SIZE == 0;
-                out.push(whole.then_some(stamp));
+                out.push((pos..pos + piece.len(), stamp));
                 pos += piece.len();
             })
             .unwrap();
         out
+    }
+
+    /// Each piece's stamp, or `None` for a piece that does not start and
+    /// end on a slot boundary.
+    fn piece_stamps(&self) -> Vec<Option<u64>> {
+        let whole =
+            |r: &Range<usize>| r.start.is_multiple_of(CQE_SIZE) && r.len().is_multiple_of(CQE_SIZE);
+        let pieces = self.pieces().into_iter();
+        pieces
+            .map(|(r, stamp)| whole(&r).then_some(stamp))
+            .collect()
+    }
+
+    /// Byte ranges of the pieces that still have their creation stamp.
+    fn untouched_pieces(&self) -> Vec<Range<usize>> {
+        let pieces = self.pieces().into_iter().zip(&self.created);
+        pieces
+            .filter(|((_, now), then)| now == *then)
+            .map(|((r, _), _)| r)
+            .collect()
     }
 
     fn scan(&mut self, tear: Option<u32>) -> Result<(), TestCaseError> {
@@ -292,6 +323,7 @@ impl Ring {
                 .any(|(a, b)| a.is_some() && a == b);
             self.seen.skipping += quiet as u32;
         }
+        self.seen.untouched += !self.untouched_pieces().is_empty() as u32;
         self.tick += 1;
         let now = SimTime::from_millis(self.tick);
         let got = self.monitor.scan_faulted(now, tear).unwrap();
@@ -458,5 +490,51 @@ fn fixed_history_matches_the_copying_reference() {
             assert!(seen.skipping > 0, "cap {capacity}: stamp skips were taken");
         }
         assert_eq!(ring.monitor.scan(SimTime::ZERO).unwrap().torn, 0);
+    }
+}
+
+/// Ring pages that no CQE reaches keep their creation fill of 0xFF, held
+/// without page storage. Tears land in them and the monitor skips them by
+/// stamp; it must still report what the copying reference reports, on a
+/// page-aligned ring, on one whose slots straddle pages and on a small ring
+/// split across two pages.
+#[test]
+fn untouched_ring_pages_scan_like_the_reference() {
+    for (capacity, page_offset) in [(1024, 0), (1024, 16), (16, PAGE_SIZE - 8 * CQE_SIZE)] {
+        let mut ring = Ring::new(capacity, page_offset, 7);
+        let history = [
+            Op::Scan(None),
+            complete(5, 4096),
+            Op::Scan(None),
+            // A tear in the last slot, far from every CQE.
+            Op::Scan(Some(capacity - 1)),
+            Op::Scan(None),
+            complete(2, 100),
+            Op::Rewrite { slot: 1 },
+            Op::Scan(Some(capacity / 2)),
+            Op::Scan(None),
+            Op::Scan(None),
+        ];
+        for op in history {
+            ring.apply(op).unwrap();
+        }
+        let untouched = ring.untouched_pieces();
+        assert!(
+            untouched.iter().any(|r| r.start >= 7 * CQE_SIZE),
+            "cap {capacity}: pages past the CQEs kept their creation stamp"
+        );
+        for range in untouched {
+            let mut raw = vec![0u8; range.len()];
+            ring.rw.read_at(range.start, &mut raw).unwrap();
+            assert!(raw.iter().all(|&b| b == 0xFF), "{range:?} is still empty");
+        }
+        assert_eq!(ring.seen.untouched, ring.seen.scans);
+        assert_eq!(ring.seen.torn, 2, "cap {capacity}: both tears were seen");
+        if page_offset % CQE_SIZE == 0 {
+            assert!(
+                ring.seen.skipping > 0,
+                "cap {capacity}: stamp skips were taken"
+            );
+        }
     }
 }

@@ -27,11 +27,6 @@ pub enum MemError {
         /// Pages remaining.
         available_pages: u64,
     },
-    /// Unpinning a page that was not pinned (double-unpin bug).
-    NotPinnedForUnpin {
-        /// The page's base address.
-        page_base: Gpa,
-    },
 }
 
 impl fmt::Display for MemError {
@@ -51,9 +46,6 @@ impl fmt::Display for MemError {
                 f,
                 "guest memory exhausted: requested {requested_pages} pages, {available_pages} free"
             ),
-            MemError::NotPinnedForUnpin { page_base } => {
-                write!(f, "unpin of page {page_base:?} that was not pinned")
-            }
         }
     }
 }

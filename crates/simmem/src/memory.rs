@@ -3,6 +3,7 @@
 use crate::error::MemError;
 use parking_lot::RwLock;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Size of a guest page, matching x86 and the 4 KiB UAR pages of the paper's
@@ -63,48 +64,73 @@ impl fmt::Display for Gpa {
     }
 }
 
-/// A backed page: its bytes and the write clock of the last write that
-/// touched it.
-struct Page {
-    bytes: [u8; PAGE_SIZE],
-    stamp: u64,
-}
+/// Every byte of a frame the table does not reach, or of a frame whose
+/// storage is not allocated after a whole-page fill with 0x00.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+/// Every byte of a frame whose storage is not allocated after a whole-page
+/// fill with 0xFF (a fresh completion ring).
+static ONES_PAGE: [u8; PAGE_SIZE] = [0xFF; PAGE_SIZE];
 
 struct PageState {
-    /// The stamp lives inside the box, not here: every page of every
-    /// domain carries a `PageState`, and a `u64` beside the box would grow
-    /// it from 16 to 24 bytes.
-    data: Option<Box<Page>>,
-    pin_count: u32,
-    /// Ever pinned or written: counted by [`GuestMemory::resident_pages`]
-    /// even while its storage is still unallocated.
-    resident: bool,
+    /// The page's bytes, allocated by the first write that does not cover
+    /// the whole page with 0x00 or 0xFF; until then every byte is `fill`.
+    data: Option<Box<[u8; PAGE_SIZE]>>,
+    /// Write clock of the last write that touched the page; 0 if none did.
+    stamp: u64,
+    /// The byte every position holds while `data` is `None`: 0x00 or 0xFF.
+    fill: u8,
+    /// Pinned for DMA. Registrations are never undone, so pins are too.
+    pinned: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<PageState>() == 16);
+// The table reaches only the highest frame ever pinned or written, so the
+// 8-byte stamp beside the box costs 24 bytes per touched page, not per
+// page of address space.
+const _: () = assert!(std::mem::size_of::<PageState>() == 24);
 
 impl PageState {
     const fn empty() -> Self {
         PageState {
             data: None,
-            pin_count: 0,
-            resident: false,
+            stamp: 0,
+            fill: 0,
+            pinned: false,
+        }
+    }
+
+    /// Ever pinned or written.
+    fn resident(&self) -> bool {
+        self.pinned || self.stamp != 0
+    }
+
+    fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        match (&self.data, self.fill) {
+            (Some(data), _) => data,
+            (None, 0) => &ZERO_PAGE,
+            (None, _) => &ONES_PAGE,
         }
     }
 }
 
 /// A single domain's guest-physical memory.
 ///
-/// Pages are materialized lazily on first write, pinned or not (reads of
-/// untouched pages return zeros, like freshly ballooned memory). A simple
-/// bump allocator hands out page-aligned regions for application buffers
-/// and queue rings.
+/// Only touched memory costs anything. The page-state table covers frames
+/// up to the highest one ever pinned or written and grows on demand;
+/// frames past its end read as zeros with stamp 0. A page gets storage on
+/// its first write, pinned or not, unless that write sets the whole page
+/// to 0x00 or 0xFF: then only the byte is recorded, and reads borrow a
+/// static page. A simple bump allocator hands out page-aligned regions for
+/// application buffers and queue rings from address 0 upward, so the
+/// touched frames form a compact prefix.
 ///
 /// Every write call ticks a write clock and stamps each page it touches
 /// with the new value, so a reader that remembers a page's stamp can tell,
 /// without comparing bytes, that no write has touched the page since.
 pub struct GuestMemory {
+    /// State of frames `0..pages.len()`.
     pages: Vec<PageState>,
+    /// Size of the address space in pages.
+    frames: u64,
     alloc_next: u64,
     /// Stamp of the latest write call; 0 before the first.
     clock: u64,
@@ -113,11 +139,9 @@ pub struct GuestMemory {
 impl GuestMemory {
     /// Creates an address space of `size_bytes` (rounded up to whole pages).
     pub fn new(size_bytes: u64) -> Self {
-        let n = (size_bytes as usize).div_ceil(PAGE_SIZE);
-        let mut pages = Vec::with_capacity(n);
-        pages.resize_with(n, PageState::empty);
         GuestMemory {
-            pages,
+            pages: Vec::new(),
+            frames: size_bytes.div_ceil(PAGE_SIZE as u64),
             alloc_next: 0,
             clock: 0,
         }
@@ -125,14 +149,14 @@ impl GuestMemory {
 
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
-        (self.pages.len() * PAGE_SIZE) as u64
+        self.frames * PAGE_SIZE as u64
     }
 
     /// Number of resident pages: every page that has ever been pinned or
     /// written. A pinned page counts even before its storage is allocated,
     /// as a real pinned page would be faulted in at registration.
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.resident).count()
+        self.pages.iter().filter(|p| p.resident()).count()
     }
 
     fn check_range(&self, gpa: Gpa, len: usize) -> Result<(), MemError> {
@@ -147,10 +171,27 @@ impl GuestMemory {
         }
     }
 
+    /// The frames `[gpa, gpa+len)` overlaps, none for an empty range,
+    /// with the table grown to cover them. The range must be in bounds.
+    fn cover(&mut self, gpa: Gpa, len: usize) -> Range<usize> {
+        if len == 0 {
+            return 0..0;
+        }
+        let first = gpa.frame() as usize;
+        let end = gpa.add(len as u64 - 1).frame() as usize + 1;
+        if end > self.pages.len() {
+            self.pages.resize_with(end, PageState::empty);
+        }
+        first..end
+    }
+
+    fn is_frame_pinned(&self, frame: u64) -> bool {
+        self.pages.get(frame as usize).is_some_and(|p| p.pinned)
+    }
+
     /// Allocates `n_pages` contiguous pages; returns the base address.
     pub fn alloc_pages(&mut self, n_pages: u64) -> Result<Gpa, MemError> {
-        let total = self.pages.len() as u64;
-        let free = total - self.alloc_next;
+        let free = self.frames - self.alloc_next;
         if n_pages > free {
             return Err(MemError::OutOfMemory {
                 requested_pages: n_pages,
@@ -187,7 +228,6 @@ impl GuestMemory {
         len: usize,
         mut f: impl FnMut(&[u8], u64),
     ) -> Result<(), MemError> {
-        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         self.check_range(gpa, len)?;
         let mut addr = gpa.raw();
         let mut done = 0;
@@ -195,8 +235,8 @@ impl GuestMemory {
             let frame = (addr / PAGE_SIZE as u64) as usize;
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(len - done);
-            let (page, stamp) = match self.pages[frame].data.as_deref() {
-                Some(p) => (&p.bytes, p.stamp),
+            let (page, stamp) = match self.pages.get(frame) {
+                Some(state) => (state.bytes(), state.stamp),
                 None => (&ZERO_PAGE, 0),
             };
             f(&page[off..off + n], stamp);
@@ -208,28 +248,34 @@ impl GuestMemory {
 
     /// Writes `buf` starting at `gpa`, materializing pages as needed.
     pub fn write(&mut self, gpa: Gpa, buf: &[u8]) -> Result<(), MemError> {
-        self.write_pieces(gpa, buf.len(), |done, piece| {
+        self.write_pieces(gpa, buf.len(), None, |done, piece| {
             piece.copy_from_slice(&buf[done..done + piece.len()]);
         })
     }
 
     /// Sets `[gpa, gpa+len)` to `byte` in one pass with no staging buffer;
-    /// otherwise the same as [`GuestMemory::write`] of `len` copies.
+    /// otherwise the same as [`GuestMemory::write`] of `len` copies. A page
+    /// the range covers whole with 0x00 or 0xFF gets no storage (and drops
+    /// any it had): the byte is recorded instead.
     pub fn fill(&mut self, gpa: Gpa, len: usize, byte: u8) -> Result<(), MemError> {
-        self.write_pieces(gpa, len, |_, piece| piece.fill(byte))
+        let lazy = matches!(byte, 0x00 | 0xFF).then_some(byte);
+        self.write_pieces(gpa, len, lazy, |_, piece| piece.fill(byte))
     }
 
     /// Mutable [`GuestMemory::read_pieces_stamped`]; `f` gets each piece's
-    /// offset. Ticks the write clock once and stamps every page touched.
+    /// offset. Ticks the write clock once and stamps every page touched. A
+    /// whole-page piece becomes `lazy`'s byte without storage, if given.
     fn write_pieces(
         &mut self,
         gpa: Gpa,
         len: usize,
+        lazy: Option<u8>,
         mut f: impl FnMut(usize, &mut [u8]),
     ) -> Result<(), MemError> {
         self.check_range(gpa, len)?;
         self.clock += 1;
         let stamp = self.clock;
+        self.cover(gpa, len);
         let mut addr = gpa.raw();
         let mut done = 0;
         while done < len {
@@ -237,15 +283,20 @@ impl GuestMemory {
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(len - done);
             let state = &mut self.pages[frame];
-            state.resident = true;
-            let page = state.data.get_or_insert_with(|| {
-                Box::new(Page {
-                    bytes: [0; PAGE_SIZE],
-                    stamp: 0,
-                })
-            });
-            page.stamp = stamp;
-            f(done, &mut page.bytes[off..off + n]);
+            state.stamp = stamp;
+            match lazy {
+                Some(byte) if n == PAGE_SIZE => {
+                    state.data = None;
+                    state.fill = byte;
+                }
+                _ => {
+                    let fill = state.fill;
+                    let page = state
+                        .data
+                        .get_or_insert_with(|| Box::new([fill; PAGE_SIZE]));
+                    f(done, &mut page[off..off + n]);
+                }
+            }
             done += n;
             addr += n as u64;
         }
@@ -265,39 +316,18 @@ impl GuestMemory {
     }
 
     /// Pins every page overlapping `[gpa, gpa+len)` (registration-time
-    /// behaviour of RDMA memory regions). Pins nest: each `pin_range` must be
-    /// balanced by one `unpin_range`.
+    /// behaviour of RDMA memory regions) for the life of the address space;
+    /// an empty range pins nothing.
     ///
-    /// Pinning only counts: a pinned page becomes resident (see
+    /// Pinning only marks: a pinned page becomes resident (see
     /// [`GuestMemory::resident_pages`]) but gets storage on its first
     /// write, like any other page, and reads as zeros until then. A 2 MiB
     /// region that the HCA never writes therefore costs no page storage.
     pub fn pin_range(&mut self, gpa: Gpa, len: usize) -> Result<(), MemError> {
         self.check_range(gpa, len)?;
-        let first = gpa.frame();
-        let last = gpa.add(len.saturating_sub(1) as u64).frame();
-        for page in &mut self.pages[first as usize..=last as usize] {
-            page.pin_count += 1;
-            page.resident = true;
-        }
-        Ok(())
-    }
-
-    /// Reverses one [`GuestMemory::pin_range`] call for the same range.
-    pub fn unpin_range(&mut self, gpa: Gpa, len: usize) -> Result<(), MemError> {
-        self.check_range(gpa, len)?;
-        let first = gpa.frame();
-        let last = gpa.add(len.saturating_sub(1) as u64).frame();
-        // Validate first so the operation is atomic.
-        for frame in first..=last {
-            if self.pages[frame as usize].pin_count == 0 {
-                return Err(MemError::NotPinnedForUnpin {
-                    page_base: Gpa::new(frame * PAGE_SIZE as u64),
-                });
-            }
-        }
-        for frame in first..=last {
-            self.pages[frame as usize].pin_count -= 1;
+        let frames = self.cover(gpa, len);
+        for page in &mut self.pages[frames] {
+            page.pinned = true;
         }
         Ok(())
     }
@@ -309,7 +339,7 @@ impl GuestMemory {
         }
         let first = gpa.frame();
         let last = gpa.add(len.saturating_sub(1) as u64).frame();
-        (first..=last).all(|f| self.pages[f as usize].pin_count > 0)
+        (first..=last).all(|f| self.is_frame_pinned(f))
     }
 }
 
@@ -357,12 +387,10 @@ impl MemoryHandle {
     pub fn dma_write(&self, gpa: Gpa, buf: &[u8]) -> Result<(), MemError> {
         self.with_write(|m| {
             m.check_range(gpa, buf.len())?;
-            if !m.is_pinned(gpa, buf.len()) {
-                let first_unpinned = (gpa.frame()..=gpa.add(buf.len() as u64 - 1).frame())
-                    .find(|&f| m.pages[f as usize].pin_count == 0)
-                    .unwrap_or(gpa.frame());
+            let last = gpa.add(buf.len().saturating_sub(1) as u64).frame();
+            if let Some(frame) = (gpa.frame()..=last).find(|&f| !m.is_frame_pinned(f)) {
                 return Err(MemError::NotPinned {
-                    page_base: Gpa::new(first_unpinned * PAGE_SIZE as u64),
+                    page_base: Gpa::new(frame * PAGE_SIZE as u64),
                 });
             }
             m.write(gpa, buf)
@@ -527,20 +555,16 @@ mod tests {
     }
 
     #[test]
-    fn pinning_nests_and_unpin_validates() {
+    fn pins_are_idempotent_and_per_page() {
         let mut m = GuestMemory::new(4 * PAGE_SIZE as u64);
         let gpa = Gpa::new(100);
-        m.pin_range(gpa, 5000).unwrap(); // spans pages 0 and 1
-        m.pin_range(gpa, 100).unwrap(); // pins page 0 again
+        m.pin_range(gpa, 100).unwrap(); // page 0
+        assert!(m.is_pinned(gpa, 100));
+        assert!(!m.is_pinned(gpa, 5000), "page 1 not pinned yet");
+        m.pin_range(gpa, 5000).unwrap(); // pages 0 and 1, page 0 again
         assert!(m.is_pinned(gpa, 5000));
-        m.unpin_range(gpa, 5000).unwrap();
-        assert!(m.is_pinned(gpa, 100), "page 0 still pinned once");
-        assert!(!m.is_pinned(gpa, 5000), "page 1 fully unpinned");
-        m.unpin_range(gpa, 100).unwrap();
-        assert!(matches!(
-            m.unpin_range(gpa, 100),
-            Err(MemError::NotPinnedForUnpin { .. })
-        ));
+        assert!(!m.is_pinned(Gpa::new(2 * PAGE_SIZE as u64), 1));
+        assert_eq!(m.resident_pages(), 2);
     }
 
     #[test]
@@ -584,14 +608,8 @@ mod tests {
     fn pinned_pages_stay_resident_and_back_on_first_dma() {
         let h = MemoryHandle::new(8 * PAGE_SIZE as u64);
         let gpa = Gpa::new(PAGE_SIZE as u64);
-        h.with_write(|m| m.pin_range(gpa, PAGE_SIZE)).unwrap();
-        h.with_write(|m| m.unpin_range(gpa, PAGE_SIZE)).unwrap();
-        assert_eq!(
-            h.with_read(|m| m.resident_pages()),
-            1,
-            "unpin keeps residency"
-        );
         h.with_write(|m| m.pin_range(gpa, 2 * PAGE_SIZE)).unwrap();
+        assert_eq!(h.with_read(|m| m.resident_pages()), 2);
         let mut out = [0xFFu8; 8];
         h.read(gpa.add(PAGE_SIZE as u64), &mut out).unwrap();
         assert_eq!(out, [0u8; 8], "pinned, never-written page reads as zeros");
@@ -628,12 +646,56 @@ mod tests {
             .unwrap();
         m.fill(Gpa::new(7 * PAGE_SIZE as u64), 0, 0xFF).unwrap();
         assert_eq!(m.resident_pages(), 6, "pages 0..=2 and 4..=6");
-        let backed: Vec<usize> = (0..8).filter(|&f| m.pages[f].data.is_some()).collect();
+        let backed: Vec<usize> = (0..8).filter(|&f| backed(&m, f)).collect();
         assert_eq!(backed, [0, 1, 2, 5], "an empty fill backs nothing");
         assert_eq!(
             m.read_u32(Gpa::new(5 * PAGE_SIZE as u64 + 64)).unwrap(),
             u32::MAX
         );
+    }
+
+    fn backed(m: &GuestMemory, frame: usize) -> bool {
+        m.pages.get(frame).is_some_and(|p| p.data.is_some())
+    }
+
+    #[test]
+    fn whole_page_fills_of_zero_or_ones_back_nothing() {
+        let mut m = GuestMemory::new(8 * PAGE_SIZE as u64);
+        // Pages 1 and 2 whole, plus 16 bytes of page 3.
+        let gpa = Gpa::new(PAGE_SIZE as u64);
+        m.fill(gpa, 2 * PAGE_SIZE + 16, 0xFF).unwrap();
+        assert_eq!(m.pages.len(), 4, "the table reaches the last page touched");
+        let backed_now: Vec<usize> = (0..8).filter(|&f| backed(&m, f)).collect();
+        assert_eq!(backed_now, [3], "only the partial page has storage");
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(stamps(&m, 4 * PAGE_SIZE), [0, 1, 1, 1]);
+        let mut out = vec![0u8; 2 * PAGE_SIZE + 17];
+        m.read(gpa, &mut out).unwrap();
+        assert!(out[..2 * PAGE_SIZE + 16].iter().all(|&b| b == 0xFF));
+        assert_eq!(out[2 * PAGE_SIZE + 16], 0);
+        // A partial write materializes the page with the filled byte.
+        m.write(Gpa::new(2 * PAGE_SIZE as u64 + 5), &[7]).unwrap();
+        assert!(backed(&m, 2));
+        m.read(gpa, &mut out).unwrap();
+        assert_eq!(out[PAGE_SIZE + 5], 7);
+        assert_eq!(
+            out.iter().filter(|&&b| b == 0xFF).count(),
+            2 * PAGE_SIZE + 15
+        );
+        // A whole-page fill drops storage; other bytes allocate it.
+        m.fill(Gpa::new(2 * PAGE_SIZE as u64), PAGE_SIZE, 0)
+            .unwrap();
+        m.fill(Gpa::new(5 * PAGE_SIZE as u64), PAGE_SIZE, 0x5A)
+            .unwrap();
+        let backed_now: Vec<usize> = (0..8).filter(|&f| backed(&m, f)).collect();
+        assert_eq!(backed_now, [3, 5]);
+        assert_eq!(m.read_u32(Gpa::new(2 * PAGE_SIZE as u64 + 4)).unwrap(), 0);
+        assert_eq!(stamps(&m, 6 * PAGE_SIZE), [0, 1, 3, 1, 0, 4]);
+        // Frames past the table read as untouched; bounds are unchanged.
+        assert_eq!(m.read_u32(Gpa::new(8 * PAGE_SIZE as u64 - 4)).unwrap(), 0);
+        assert!(m.read_u32(Gpa::new(8 * PAGE_SIZE as u64 - 3)).is_err());
+        assert!(!m.is_pinned(Gpa::new(7 * PAGE_SIZE as u64), 1));
+        assert_eq!(m.size(), 8 * PAGE_SIZE as u64);
     }
 
     #[test]

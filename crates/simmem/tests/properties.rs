@@ -38,25 +38,6 @@ proptest! {
         prop_assert_eq!(out_b, b);
     }
 
-    /// Balanced pin/unpin sequences leave every page unpinned; unbalanced
-    /// ones keep exactly the over-pinned ranges pinned.
-    #[test]
-    fn pin_unpin_balance(ranges in prop::collection::vec((0u64..8, 1usize..3 * PAGE_SIZE), 1..10)) {
-        let mut m = GuestMemory::new(16 * PAGE_SIZE as u64);
-        for &(page, len) in &ranges {
-            m.pin_range(Gpa::new(page * PAGE_SIZE as u64), len).unwrap();
-        }
-        for &(page, len) in &ranges {
-            prop_assert!(m.is_pinned(Gpa::new(page * PAGE_SIZE as u64), len));
-            m.unpin_range(Gpa::new(page * PAGE_SIZE as u64), len).unwrap();
-        }
-        // Everything unpinned again.
-        prop_assert!(!m.is_pinned(Gpa::new(0), 16 * PAGE_SIZE));
-        for page in 0..16u64 {
-            prop_assert!(!m.is_pinned(Gpa::new(page * PAGE_SIZE as u64), 1));
-        }
-    }
-
     /// A foreign mapping observes exactly what the owner wrote, at the
     /// right offsets.
     #[test]

@@ -29,6 +29,14 @@
 //! 1 KB per window for the test rack. Moving every shard through a
 //! parallel map and collect instead costs ~32 KB per window on that
 //! thread, so the 8 KiB budget sits about 4x from both.
+//!
+//! Building a world pays only for the guest memory it touches: a page
+//! table reaches only the highest page pinned or written, a new CQ ring's
+//! 0xFF fill allocates no pages, and a latency window grows as records
+//! arrive. A warm one-VM base-case build allocates about 40 KB. The 128
+//! KiB budget trips if any one of the three is paid up front again: full
+//! page tables make it ~650 KB, materialized rings ~170 KB and reserved
+//! windows ~200 KB.
 
 use resex_benchex::TraceProfile;
 use resex_fabric::{
@@ -206,5 +214,23 @@ fn rack_windows_allocate_almost_nothing_on_the_caller() {
         median < 8192.0,
         "the rack caller allocated {median:.0} bytes per window \
          (samples {per_window:.0?}): are shards moved by value again?"
+    );
+}
+
+#[test]
+fn building_a_world_pays_only_for_touched_memory() {
+    let cfg = || ScenarioConfig::base_case(64 * 1024);
+    // The first build warms any process-wide lazy state; the second is
+    // what every later build pays.
+    drop(World::build(cfg()));
+    let (_, before) = resex_obs::alloc::thread_counters();
+    let world = World::build(cfg());
+    let (_, after) = resex_obs::alloc::thread_counters();
+    drop(world);
+    let bytes = after.wrapping_sub(before);
+    assert!(
+        bytes < 128 * 1024,
+        "building a one-VM world allocated {bytes} bytes: are page tables, \
+         CQ rings or latency windows paid for up front again?"
     );
 }
